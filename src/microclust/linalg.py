@@ -1,163 +1,42 @@
-"""Dense symmetric eigensolver (cyclic Jacobi) and k-means with k-means++.
+"""Dense symmetric eigensolver and k-means with k-means++.
 
-The Jacobi kernel is JIT-compiled with numba when available and falls back
-to a numpy-vectorized sweep otherwise; both run the same rotation schedule,
-capped at 100 sweeps with an off-diagonal Frobenius tolerance of 1e-10.
+``jacobi_eigh`` makes one LAPACK call (``np.linalg.eigh``, divide-and-conquer
+dsyevd).  The name is kept from the cyclic Jacobi it replaced, because the
+public API, the tests and the benchmark's tracer and checks reach the solver
+by it.  The contract is unchanged: the full spectrum in ascending order, with
+deterministically signed eigenvectors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-JACOBI_MAX_SWEEPS = 100
-JACOBI_TOL = 1e-10
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
+# Relative margin by which a later k-means restart must beat the best inertia
+# so far; within it the earlier restart is kept, so the winner does not hinge
+# on last-digit rounding of the embedding.
+INERTIA_RTOL = 1e-9
 
 
 class NumericalError(RuntimeError):
-    """Eigensolver or clustering failure with diagnostics."""
+    """Clustering failure with diagnostics."""
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.sqrt(np.sum(off**2)))
-
-
-@np.errstate(over="ignore")  # theta**2 may overflow to inf; t stays finite
-def _jacobi_sweeps_py(a: np.ndarray, v: np.ndarray, max_sweeps: int, tol: float):
-    """Numpy fallback: same cyclic-by-row schedule as the jitted kernel."""
-    n = a.shape[0]
-    sweeps = 0
-    while sweeps < max_sweeps:
-        off = _offdiag_norm(a)
-        if off <= tol:
-            return sweeps, off
-        sweeps += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                # branch keeps t finite for any theta (including +-inf)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p].copy()
-                rq = a[q].copy()
-                a[p] = c * rp - s * rq
-                a[q] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-    return sweeps, _offdiag_norm(a)
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _jacobi_sweeps_nb(a, v, max_sweeps, tol):  # pragma: no cover - jitted
-        n = a.shape[0]
-        sweeps = 0
-        while sweeps < max_sweeps:
-            off = 0.0
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    off += 2.0 * a[i, j] * a[i, j]
-            off = np.sqrt(off)
-            if off <= tol:
-                return sweeps, off
-            sweeps += 1
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if apq == 0.0:
-                        continue
-                    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    if theta >= 0.0:
-                        t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                    else:
-                        t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-                    c = 1.0 / np.sqrt(t * t + 1.0)
-                    s = t * c
-                    app = a[p, p]
-                    aqq = a[q, q]
-                    a[p, p] = app - t * apq
-                    a[q, q] = aqq + t * apq
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    for i in range(n):
-                        if i != p and i != q:
-                            aip = a[i, p]
-                            aiq = a[i, q]
-                            a[i, p] = c * aip - s * aiq
-                            a[p, i] = a[i, p]
-                            a[i, q] = s * aip + c * aiq
-                            a[q, i] = a[i, q]
-                    for i in range(n):
-                        vip = v[i, p]
-                        viq = v[i, q]
-                        v[i, p] = c * vip - s * viq
-                        v[i, q] = s * vip + c * viq
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += 2.0 * a[i, j] * a[i, j]
-        return sweeps, np.sqrt(off)
-
-
-def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS, tol: float = JACOBI_TOL):
+def jacobi_eigh(matrix: np.ndarray):
     """All eigenvalues/eigenvectors of a real symmetric matrix.
 
     Returns (w, V) with w ascending and eigenvectors in the columns of V,
-    each sign-fixed so its largest-magnitude entry is positive.  Raises
-    NumericalError when the sweep cap is hit before the off-diagonal norm
-    drops below tol.
+    each sign-fixed so its largest-magnitude entry is positive (the first
+    such entry on ties).
     """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, rtol=0, atol=1e-12):
-        raise ValueError("matrix must be symmetric")
-    n = a.shape[0]
-    if n == 1:
-        return a[0].copy(), np.ones((1, 1))
-    v = np.eye(n)
-    if _HAVE_NUMBA:
-        sweeps, off = _jacobi_sweeps_nb(a, v, max_sweeps, tol)
-    else:
-        sweeps, off = _jacobi_sweeps_py(a, v, max_sweeps, tol)
-    if off > tol:
-        raise NumericalError(
-            f"Jacobi eigensolver did not converge: n={n}, sweeps={sweeps}, "
-            f"off-diagonal norm {off:.3e} > tol {tol:.1e}"
-        )
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    # Deterministic sign: largest-|entry| component positive (first on ties).
-    for j in range(n):
-        col = v[:, j]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            v[:, j] = -col
+    a = np.asarray(matrix, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError("matrix must be square and nonempty")
+    # Non-finite entries make LAPACK return NaNs without an error.
+    if not np.isfinite(a).all() or not np.allclose(a, a.T, rtol=0, atol=1e-12):
+        raise ValueError("matrix must be finite and symmetric")
+    w, v = np.linalg.eigh(a)
+    lead = np.argmax(np.abs(v), axis=0)
+    v *= np.where(v[lead, np.arange(v.shape[1])] < 0, -1.0, 1.0)
     return w, v
 
 
@@ -210,8 +89,9 @@ def kmeans(x: np.ndarray, n_clusters: int, seed: int, n_restarts: int = 10, max_
     """k-means with k-means++ seeding; best of n_restarts by inertia.
 
     Restart r uses the generator seeded with (seed, r), so results are
-    reproducible and restarts could run in parallel.  Returns
-    (labels, inertia).
+    reproducible and restarts could run in parallel.  A later restart wins
+    only when its inertia is lower by more than INERTIA_RTOL.  Returns
+    (labels, inertia) with int32 labels.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -222,7 +102,7 @@ def kmeans(x: np.ndarray, n_clusters: int, seed: int, n_restarts: int = 10, max_
         rng = np.random.default_rng([seed, r])
         centers = x[_kmeans_pp_init(x, n_clusters, rng)].copy()
         labels, inertia = _lloyd(x, centers, max_iter)
-        if inertia < best_inertia:
+        if inertia < best_inertia * (1.0 - INERTIA_RTOL):
             best_labels, best_inertia = labels, inertia
     assert best_labels is not None
-    return best_labels, best_inertia
+    return best_labels.astype(np.int32), best_inertia

@@ -34,18 +34,21 @@ def snn_similarity(p_i: np.ndarray, p_j: np.ndarray, nt: NeighborTable, ds: Data
 def build_similarity_matrix(pcs: PseudoClusterSet, nt: NeighborTable, ds: Dataset) -> np.ndarray:
     """Dense symmetric m x m similarity with zero diagonal.
 
-    Shared-neighbor counts for all pairs come from one boolean
-    membership-of-neighbor-union matrix product.
+    Shared-neighbor counts for all pairs come from one product U @ U.T of
+    the sparse m x n neighbor-union incidence U (at most n*k nonzeros).
     """
     m = pcs.m
     if m < 2:
         raise ValueError(f"need at least 2 micro-clusters, got {m}")
-    union = np.zeros((m, ds.n), dtype=np.float32)
-    for t, members in enumerate(pcs.clusters):
-        union[t, np.unique(nt.indices[members])] = 1.0
-    counts = union @ union.T  # exact: integers well below 2**24
+    rows = np.repeat(np.arange(m), pcs.sizes() * nt.k)
+    cols = nt.indices[np.concatenate(pcs.clusters)].ravel()
+    # Building the CSR matrix sums repeated (row, column) pairs; setting every
+    # stored value to 1 then leaves a 0/1 union membership.
+    union = csr_matrix((np.ones(cols.size), (rows, cols)), shape=(m, ds.n))
+    union.data[:] = 1.0
+    counts = (union @ union.T).toarray()
     c_dist = cdist(pcs.centroids, pcs.centroids)
-    s = counts.astype(np.float64) / (1.0 + c_dist)
+    s = counts / (1.0 + c_dist)
     np.fill_diagonal(s, 0.0)
     return s
 
@@ -107,7 +110,7 @@ def spectral_cluster(s: np.ndarray, n_clusters: int, seed: int, n_restarts: int 
 
 def propagate_labels(pcs: PseudoClusterSet, micro_labels: np.ndarray) -> np.ndarray:
     """Every point inherits its micro-cluster's label."""
-    micro_labels = np.asarray(micro_labels, dtype=np.int64)
+    micro_labels = np.asarray(micro_labels)
     if micro_labels.shape[0] != pcs.m:
         raise ValueError("micro label count does not match cluster count")
     return micro_labels[pcs.assignment]
