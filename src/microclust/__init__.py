@@ -57,6 +57,7 @@ from .splitting import (
     compactness_dm,
     find_endpoints,
     manifold_curvature,
+    round_geometry,
     split_all,
     split_once,
     weighted_dm,
@@ -109,6 +110,7 @@ __all__ = [
     "normalized_laplacian",
     "plain_spectral_baseline",
     "propagate_labels",
+    "round_geometry",
     "run_pipeline",
     "run_repeated",
     "save_csv",

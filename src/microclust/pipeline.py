@@ -34,7 +34,7 @@ from .spectral import (
     propagate_labels,
     spectral_cluster,
 )
-from .splitting import SplitConfig, SplitReport, cluster_geometry, split_all
+from .splitting import SplitConfig, SplitReport, round_geometry, split_all
 
 ALGORITHMS = ("mdmsc", "gbsc", "sc")
 MODES = ("full", "single-cluster", "no-split", "compactness-only")
@@ -243,8 +243,7 @@ def micro_cluster_dump(pcs: PseudoClusterSet, ds: Dataset, micro_labels=None) ->
     ds must be the same (already normalized) dataset the clusters were built on.
     """
     out = []
-    for t, members in enumerate(pcs.clusters):
-        geom = cluster_geometry(members, ds)
+    for t, (members, geom) in enumerate(zip(pcs.clusters, round_geometry(pcs.clusters, ds))):
         rec = {
             "id": t,
             "members": members.tolist(),

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .data import Dataset
 from .neighbors import PseudoClusterSet
@@ -76,6 +78,121 @@ class SplitReport:
     warnings: list[str] = field(default_factory=list)
 
 
+def _first_extreme(values: np.ndarray, starts: np.ndarray, seg: np.ndarray, ufunc) -> np.ndarray:
+    """Position of each segment's first minimum (ufunc=np.minimum) or maximum.
+
+    Segments are the contiguous, nonempty runs values[starts[t]:starts[t+1]];
+    seg maps every position to its segment.
+    """
+    ext = ufunc.reduceat(values, starts)
+    hits = np.flatnonzero(values == ext[seg])
+    return hits[np.searchsorted(hits, starts)]
+
+
+def _prim_forest(clusters, ds: Dataset):
+    """Minimum spanning trees of many clusters at once (exact Prim on each).
+
+    Every cluster follows the rule of a one-cluster Prim over squared
+    distances: start at the first member, then add the frontier vertex with
+    the smallest (key, position), keeping the earliest parent; keys come
+    from the same einsum over difference rows and weights are the square
+    roots of the chosen keys.  The clusters are laid out back to back,
+    largest first, so the ones still growing after e steps form a prefix of
+    the layout and each step is one vectorised pass over that prefix: a
+    round costs max(s) steps, its working arrays O(sum(s) * d).
+
+    Returns (edges, weights, offsets): cluster t's s_t - 1 edges, as global
+    (parent, child) pairs in the order Prim adds them, are
+    edges[offsets[t]:offsets[t + 1]].
+    """
+    sizes = np.array([len(c) for c in clusters], dtype=np.int64)
+    if (sizes == 0).any():
+        raise ValueError("cluster is empty")
+    order = np.argsort(-sizes, kind="stable")
+    sizes_sorted = sizes[order]
+    gid = np.concatenate([np.asarray(clusters[t], dtype=np.int64) for t in order])
+    pts = ds.points[gid]
+    off = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes_sorted, out=off[1:])
+    eoff = off - np.arange(sizes.size + 1)  # s_t - 1 edges per cluster
+    seg = np.repeat(np.arange(sizes.size), sizes_sorted)
+    # active[e]: clusters that still add an edge at step e (size >= e + 2)
+    active = np.searchsorted(-sizes_sorted, -np.arange(2, sizes_sorted[0] + 1), side="right")
+
+    # key is the squared distance to the tree, -1 inside it (no update wins);
+    # masked is the same outside the tree and inf inside (never chosen).
+    key = np.full(gid.size, np.inf)
+    masked = np.full(gid.size, np.inf)
+    parent = np.zeros(gid.size, dtype=np.int64)
+    head = np.empty(eoff[-1], dtype=np.int64)
+    tail = np.empty(eoff[-1], dtype=np.int64)
+    weights = np.empty(eoff[-1])
+
+    u = off[:-1]  # every tree starts at its first member
+    key[u] = -1.0
+    for e, a in enumerate(active.tolist()):
+        live = int(off[a])
+        from_u = u[:a][seg[:live]]
+        diff = pts[:live] - pts.take(from_u, axis=0)
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        better = d2 < key[:live]
+        np.copyto(key[:live], d2, where=better)
+        np.copyto(masked[:live], d2, where=better)
+        np.copyto(parent[:live], from_u, where=better)
+        u = _first_extreme(masked[:live], off[:a], seg[:live], np.minimum)
+        slot = eoff[:a] + e
+        head[slot] = parent[u]
+        tail[slot] = u
+        weights[slot] = masked[u]
+        key[u] = -1.0
+        masked[u] = np.inf
+    np.sqrt(weights, out=weights)
+
+    # back to the callers' cluster order
+    out_off = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes - 1, out=out_off[1:])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    src = np.repeat(eoff[rank] - out_off[:-1], sizes - 1) + np.arange(out_off[-1])
+    edges = np.column_stack([gid[head[src]], gid[tail[src]]])
+    return edges, weights[src], out_off
+
+
+def _tree_diameters(edges: np.ndarray, weights: np.ndarray, offsets: np.ndarray):
+    """Diameter endpoints and path lengths of every tree in a forest.
+
+    Tree t is the edge list edges[offsets[t]:offsets[t + 1]] (at least one
+    edge, global vertex ids; trees share no vertex).  Two farthest-point
+    sweeps, exact on trees with nonnegative weights: each sweep is one
+    multi-source Dijkstra over the block-diagonal forest, so path lengths
+    are sums outward from the sweep's start.  A sweep starts at the tree's
+    smallest vertex id and ties on the farthest distance go to the smallest
+    id.  Explicit zero-weight edges (duplicate points) count as edges.
+    Returns (ends, paths): ends[t] = (a, b) with a < b.
+    """
+    counts = np.diff(offsets)
+    tree = np.repeat(np.arange(counts.size), counts)
+    width = int(edges.max()) + 1
+    # vertices numbered by (tree, id): each tree is one contiguous run
+    verts, inv = np.unique((tree * width)[:, None] + edges, return_inverse=True)
+    inv = inv.reshape(edges.shape)
+    seg = verts // width
+    starts = np.searchsorted(seg, np.arange(counts.size))
+    graph = csr_matrix(
+        (np.concatenate([weights, weights]), (inv.ravel("F"), inv[:, ::-1].ravel("F"))),
+        shape=(verts.size, verts.size),
+    )
+
+    def farthest(sources):
+        dist = dijkstra(graph, indices=sources, min_only=True)
+        return _first_extreme(dist, starts, seg, np.maximum), dist
+
+    u, _ = farthest(starts)
+    v, dist = farthest(u)
+    ends = np.sort(np.column_stack([verts[u], verts[v]]) % width, axis=1)
+    return ends, dist[v]
+
+
 def build_mst(cluster: np.ndarray, ds: Dataset):
     """Minimum spanning tree of the complete Euclidean graph on the members.
 
@@ -85,87 +202,8 @@ def build_mst(cluster: np.ndarray, ds: Dataset):
     (edges, weights) with edges as global point-index pairs; a singleton
     cluster yields empty arrays.
     """
-    members = np.asarray(cluster, dtype=np.int64)
-    s = members.size
-    if s == 0:
-        raise ValueError("cluster is empty")
-    if s == 1:
-        return np.empty((0, 2), dtype=np.int64), np.empty(0)
-    pts = ds.points[members]
-    in_tree = np.zeros(s, dtype=bool)
-    key = np.full(s, np.inf)
-    parent = np.full(s, -1, dtype=np.int64)
-    in_tree[0] = True
-    key[0] = 0.0
-    diff = pts - pts[0]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    better = d2 < key
-    better[0] = False
-    key[better] = d2[better]
-    parent[better] = 0
-
-    edges = np.empty((s - 1, 2), dtype=np.int64)
-    weights = np.empty(s - 1)
-    masked = key.copy()
-    masked[0] = np.inf
-    for e in range(s - 1):
-        u = int(np.argmin(masked))  # first minimum = smallest position on ties
-        in_tree[u] = True
-        edges[e] = members[parent[u]], members[u]
-        weights[e] = masked[u]
-        masked[u] = np.inf
-        diff = pts - pts[u]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        better = (~in_tree) & (d2 < key)
-        key[better] = d2[better]
-        parent[better] = u
-        masked[better] = d2[better]
-    np.sqrt(weights, out=weights)
+    edges, weights, _ = _prim_forest([cluster], ds)
     return edges, weights
-
-
-def _tree_adjacency(edges: np.ndarray, weights: np.ndarray):
-    """CSR-style adjacency over the vertices appearing in the edge list."""
-    verts = np.unique(edges)
-    pos = {int(v): i for i, v in enumerate(verts)}
-    s = verts.size
-    deg = np.zeros(s, dtype=np.int64)
-    a = np.array([pos[int(v)] for v in edges[:, 0]], dtype=np.int64)
-    b = np.array([pos[int(v)] for v in edges[:, 1]], dtype=np.int64)
-    np.add.at(deg, a, 1)
-    np.add.at(deg, b, 1)
-    offs = np.zeros(s + 1, dtype=np.int64)
-    np.cumsum(deg, out=offs[1:])
-    nbr = np.empty(2 * edges.shape[0], dtype=np.int64)
-    wts = np.empty(2 * edges.shape[0])
-    cur = offs[:-1].copy()
-    for i in range(edges.shape[0]):
-        nbr[cur[a[i]]] = b[i]
-        wts[cur[a[i]]] = weights[i]
-        cur[a[i]] += 1
-        nbr[cur[b[i]]] = a[i]
-        wts[cur[b[i]]] = weights[i]
-        cur[b[i]] += 1
-    return verts, offs, nbr, wts
-
-
-def _farthest_from(start: int, offs, nbr, wts, s: int):
-    """Distances from start in the tree; returns (farthest vertex, distances).
-
-    Ties resolve to the smallest vertex position.
-    """
-    dist = np.full(s, -1.0)
-    dist[start] = 0.0
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for j in range(offs[v], offs[v + 1]):
-            w = nbr[j]
-            if dist[w] < 0:
-                dist[w] = dist[v] + wts[j]
-                stack.append(w)
-    far = int(np.argmax(dist))
-    return far, dist
 
 
 def find_endpoints(mst_edges: np.ndarray, mst_weights: np.ndarray):
@@ -176,13 +214,15 @@ def find_endpoints(mst_edges: np.ndarray, mst_weights: np.ndarray):
     """
     if mst_edges.shape[0] < 1:
         raise ValueError("need an MST spanning at least 2 points")
-    verts, offs, nbr, wts = _tree_adjacency(mst_edges, mst_weights)
-    u, _ = _farthest_from(0, offs, nbr, wts, verts.size)
-    v, dist = _farthest_from(u, offs, nbr, wts, verts.size)
-    a, b = int(verts[u]), int(verts[v])
-    if a > b:
-        a, b = b, a
-    return (a, b), float(dist[v])
+    ends, paths = _tree_diameters(
+        np.asarray(mst_edges, dtype=np.int64), np.asarray(mst_weights, dtype=np.float64),
+        np.array([0, mst_edges.shape[0]]),
+    )
+    return (int(ends[0, 0]), int(ends[0, 1])), float(paths[0])
+
+
+def _curvature(path_dist: float, euclid: float) -> float:
+    return math.inf if euclid == 0.0 else path_dist / euclid
 
 
 def manifold_curvature(endpoints: tuple[int, int], path_dist: float, ds: Dataset) -> float:
@@ -191,19 +231,21 @@ def manifold_curvature(endpoints: tuple[int, int], path_dist: float, ds: Dataset
     Spatially coincident endpoints give +inf (treated as maximally curved).
     """
     a, b = endpoints
-    euclid = float(np.linalg.norm(ds.points[a] - ds.points[b]))
-    if euclid == 0.0:
-        return math.inf
-    return path_dist / euclid
+    return _curvature(path_dist, float(np.linalg.norm(ds.points[a] - ds.points[b])))
 
 
 def compactness_dm(cluster: np.ndarray, ds: Dataset) -> float:
     """Mean member distance to the cluster centroid."""
     pts = ds.points[np.asarray(cluster, dtype=np.int64)]
-    if pts.shape[0] == 0:
+    s = pts.shape[0]
+    if s == 0:
         raise ValueError("cluster is empty")
-    centroid = pts.mean(axis=0)
-    return float(np.linalg.norm(pts - centroid, axis=1).mean())
+    x = pts - pts.sum(axis=0) / s
+    return float(np.sqrt((x * x).sum(axis=1)).sum() / s)
+
+
+def _weighted(m1: int, dm1: float, m2: int, dm2: float) -> float:
+    return (m1 * dm1 + m2 * dm2) / (m1 + m2)
 
 
 def weighted_dm(child1: np.ndarray, child2: np.ndarray, ds: Dataset) -> float:
@@ -211,21 +253,46 @@ def weighted_dm(child1: np.ndarray, child2: np.ndarray, ds: Dataset) -> float:
     m1, m2 = len(child1), len(child2)
     if m1 == 0 or m2 == 0:
         raise ValueError("children must be nonempty")
-    return (m1 * compactness_dm(child1, ds) + m2 * compactness_dm(child2, ds)) / (m1 + m2)
+    return _weighted(m1, compactness_dm(child1, ds), m2, compactness_dm(child2, ds))
+
+
+def round_geometry(clusters, ds: Dataset, dms=None) -> list[ClusterGeometry]:
+    """Geometry of many clusters from one batched MST and one diameter sweep.
+
+    Equal, field for field, to computing each cluster on its own.  dms, when
+    given, holds the clusters' compactness values (already known to the
+    caller); otherwise they are computed.  Singletons get mc=1 and no
+    endpoints.
+    """
+    clusters = [np.asarray(c, dtype=np.int64) for c in clusters]
+    if not clusters:
+        return []
+    if dms is None:
+        dms = [compactness_dm(c, ds) for c in clusters]
+    edges, weights, offsets = _prim_forest(clusters, ds)
+    multi = [t for t, c in enumerate(clusters) if c.size > 1]
+    if multi:
+        tree_off = np.append(offsets[multi], offsets[-1])
+        ends, paths = _tree_diameters(edges, weights, tree_off)
+    out = []
+    j = 0
+    for t, members in enumerate(clusters):
+        e, w = edges[offsets[t]:offsets[t + 1]], weights[offsets[t]:offsets[t + 1]]
+        if members.size < 2:
+            out.append(ClusterGeometry(e, w, None, 0.0, 0.0, 1.0, dms[t]))
+            continue
+        a, b = int(ends[j, 0]), int(ends[j, 1])
+        path_dist = float(paths[j])
+        j += 1
+        euclid = float(np.linalg.norm(ds.points[a] - ds.points[b]))
+        mc = _curvature(path_dist, euclid)
+        out.append(ClusterGeometry(e, w, (a, b), path_dist, euclid, mc, dms[t]))
+    return out
 
 
 def cluster_geometry(cluster: np.ndarray, ds: Dataset) -> ClusterGeometry:
     """Full geometry of one cluster; singletons get mc=1 and no endpoints."""
-    members = np.asarray(cluster, dtype=np.int64)
-    edges, weights = build_mst(members, ds)
-    dm = compactness_dm(members, ds)
-    if members.size < 2:
-        return ClusterGeometry(edges, weights, None, 0.0, 0.0, 1.0, dm)
-    endpoints, path_dist = find_endpoints(edges, weights)
-    a, b = endpoints
-    euclid = float(np.linalg.norm(ds.points[a] - ds.points[b]))
-    mc = manifold_curvature(endpoints, path_dist, ds)
-    return ClusterGeometry(edges, weights, endpoints, path_dist, euclid, mc, dm)
+    return round_geometry([cluster], ds)[0]
 
 
 def _partition_by_endpoints(members: np.ndarray, endpoints: tuple[int, int], ds: Dataset):
@@ -268,13 +335,20 @@ def default_max_rounds(n: int) -> int:
 def split_all(pcs: PseudoClusterSet, ds: Dataset, cfg: SplitConfig):
     """Split every splittable cluster to exhaustion (or the round cap).
 
-    Clusters are processed in ascending id order; children join the next
-    round's queue.  Children adopt their endpoint seed as core.  Returns the
-    new partition and a SplitReport (one record per accepted split).
+    Each round computes the geometry of all its candidates (clusters larger
+    than beta) in one round_geometry call, then tries them in ascending id
+    order with split_once; children join the next round's queue.  Children
+    adopt their endpoint seed as core.  Each child's compactness is computed
+    once, for the split record, and serves as its dm in the next round.
+    Returns the new partition and a SplitReport (one record per accepted
+    split).
     """
     report = SplitReport()
     final: list[tuple[np.ndarray, int]] = []
-    pending = [(np.asarray(c, dtype=np.int64), int(pcs.cores[t])) for t, c in enumerate(pcs.clusters)]
+    # (members, core, compactness or None when not yet computed)
+    pending = [
+        (np.asarray(c, dtype=np.int64), int(pcs.cores[t]), None) for t, c in enumerate(pcs.clusters)
+    ]
     max_rounds = cfg.max_rounds if cfg.max_rounds is not None else default_max_rounds(ds.n)
     next_id = pcs.m
 
@@ -283,27 +357,35 @@ def split_all(pcs: PseudoClusterSet, ds: Dataset, cfg: SplitConfig):
             report.warnings.append(
                 f"max_rounds={max_rounds} reached with {len(pending)} clusters still pending"
             )
-            final.extend(pending)
+            final.extend((members, core) for members, core, _ in pending)
             break
         report.rounds += 1
+        todo = [
+            i for i, (members, _, _) in enumerate(pending)
+            if cfg.mode != "no-split" and members.size > cfg.beta and members.size >= 2
+        ]
+        dms = [
+            compactness_dm(pending[i][0], ds) if pending[i][2] is None else pending[i][2]
+            for i in todo
+        ]
+        geoms = dict(zip(todo, round_geometry([pending[i][0] for i in todo], ds, dms)))
         next_pending = []
-        for members, core in pending:
-            geom = None
-            if cfg.mode != "no-split" and members.size > cfg.beta and members.size >= 2:
-                geom = cluster_geometry(members, ds)
+        for i, (members, core, _) in enumerate(pending):
+            geom = geoms.get(i)
             result = split_once(members, ds, cfg, geom) if geom is not None else None
             if result is None:
                 final.append((members, core))
                 continue
             child1, child2 = result
-            assert geom is not None and geom.endpoints is not None
+            assert geom.endpoints is not None
             e1, e2 = geom.endpoints
+            dm1, dm2 = compactness_dm(child1, ds), compactness_dm(child2, ds)
             report.records.append(
                 {
                     "parent_size": int(members.size),
                     "mc": float(geom.mc) if math.isfinite(geom.mc) else None,
                     "dm": float(geom.dm),
-                    "dm_weight": float(weighted_dm(child1, child2, ds)),
+                    "dm_weight": float(_weighted(child1.size, dm1, child2.size, dm2)),
                     "child_sizes": [int(child1.size), int(child2.size)],
                     "child_ids": [next_id, next_id + 1],
                 }
@@ -311,8 +393,8 @@ def split_all(pcs: PseudoClusterSet, ds: Dataset, cfg: SplitConfig):
             next_id += 2
             # Each endpoint lands in its own child (distance 0 wins), so the
             # children adopt the endpoint seeds as cores.
-            next_pending.append((child1, e1))
-            next_pending.append((child2, e2))
+            next_pending.append((child1, e1, dm1))
+            next_pending.append((child2, e2, dm2))
         pending = next_pending
 
     clusters = [members for members, _ in final]

@@ -2,7 +2,8 @@
 
 Every oracle here recomputes its quantity by a route different from the
 library implementation (all-pairs scans, scipy graph routines, permutation
-enumeration) so equivalence tests stay meaningful.
+enumeration, one-vertex-at-a-time loops) so equivalence tests stay
+meaningful.
 """
 
 from __future__ import annotations
@@ -65,6 +66,84 @@ def tree_path_matrix(edges: np.ndarray, weights: np.ndarray, vertices: np.ndarra
 def brute_force_tree_diameter(edges: np.ndarray, weights: np.ndarray) -> float:
     vertices = np.unique(edges)
     return float(tree_path_matrix(edges, weights, vertices).max())
+
+
+def reference_prim(points: np.ndarray, members: np.ndarray):
+    """One-cluster Prim, one vertex per Python iteration: the splitting rule's reference.
+
+    Squared-distance keys from an einsum over difference rows; the frontier
+    vertex with the smallest (key, position) wins and the earliest parent is
+    kept; weights are the square roots of the chosen keys.  Returns
+    (edges, weights) with edges as global (parent, child) pairs in the order
+    they are added.
+    """
+    members = np.asarray(members, dtype=np.int64)
+    s = members.size
+    if s == 1:
+        return np.empty((0, 2), dtype=np.int64), np.empty(0)
+    pts = points[members]
+    in_tree = np.zeros(s, dtype=bool)
+    key = np.full(s, np.inf)
+    parent = np.full(s, -1, dtype=np.int64)
+    in_tree[0] = True
+    key[0] = 0.0
+    diff = pts - pts[0]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    better = d2 < key
+    better[0] = False
+    key[better] = d2[better]
+    parent[better] = 0
+    edges = np.empty((s - 1, 2), dtype=np.int64)
+    weights = np.empty(s - 1)
+    masked = key.copy()
+    masked[0] = np.inf
+    for e in range(s - 1):
+        u = int(np.argmin(masked))
+        in_tree[u] = True
+        edges[e] = members[parent[u]], members[u]
+        weights[e] = masked[u]
+        masked[u] = np.inf
+        diff = pts - pts[u]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        better = (~in_tree) & (d2 < key)
+        key[better] = d2[better]
+        parent[better] = u
+        masked[better] = d2[better]
+    np.sqrt(weights, out=weights)
+    return edges, weights
+
+
+def reference_endpoints(edges: np.ndarray, weights: np.ndarray):
+    """Tree-diameter endpoints by two depth-first farthest-point sweeps.
+
+    Vertices are ranked by id; the first sweep starts at the smallest id,
+    path lengths are summed outward from the sweep's start, and ties on the
+    farthest distance go to the smallest id.  Returns ((a, b), path) with
+    a < b.
+    """
+    verts = np.unique(edges)
+    pos = {int(v): i for i, v in enumerate(verts)}
+    adj = [[] for _ in verts]
+    for (a, b), w in zip(edges.tolist(), weights.tolist()):
+        adj[pos[a]].append((pos[b], w))
+        adj[pos[b]].append((pos[a], w))
+
+    def farthest(start):
+        dist = np.full(verts.size, -1.0)
+        dist[start] = 0.0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w, length in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + length
+                    stack.append(w)
+        return int(np.argmax(dist)), dist
+
+    u, _ = farthest(0)
+    v, dist = farthest(u)
+    a, b = sorted((int(verts[u]), int(verts[v])))
+    return (a, b), float(dist[v])
 
 
 def brute_force_acc(pred, truth) -> float:

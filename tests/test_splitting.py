@@ -12,12 +12,19 @@ from microclust import (
     compactness_dm,
     find_endpoints,
     manifold_curvature,
+    round_geometry,
     split_all,
     split_once,
+    splitting,
     weighted_dm,
 )
 
-from conftest import brute_force_mst_weight, brute_force_tree_diameter
+from conftest import (
+    brute_force_mst_weight,
+    brute_force_tree_diameter,
+    reference_endpoints,
+    reference_prim,
+)
 
 
 def test_mst_right_angle(right_angle_triple):
@@ -273,3 +280,72 @@ def test_mc_comparison_switch():
     loose = SplitConfig(lam=geom.mc, beta=2, mc_comparison=">=")
     assert split_once(members, ds, strict) is None
     assert split_once(members, ds, loose) is not None
+
+
+def _tie_heavy_round(rng, d):
+    """One round's clusters: skewed sizes including 1 and 2, half the points on a grid."""
+    sizes = [1, 2, 2, *np.minimum(rng.geometric(0.04, size=int(rng.integers(3, 10))), 120)]
+    rng.shuffle(sizes)
+    n = sum(sizes) + int(rng.integers(0, 20))  # points outside the round stay untouched
+    pts = rng.standard_normal((n, d))
+    grid = rng.random(n) < 0.5
+    pts[grid] = np.round(pts[grid] * 2) / 2  # distance ties on a 0.5 grid
+    copies = rng.choice(n, size=n // 4)
+    pts[copies] = pts[rng.choice(n, size=copies.size)]  # exact duplicates in any d
+    order = rng.permutation(n)
+    return Dataset(pts), np.split(order[: sum(sizes)], np.cumsum(sizes)[:-1])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 13, 40])
+def test_round_geometry_matches_per_cluster_reference_exactly(d):
+    rng = np.random.default_rng(100 + d)
+    for _ in range(12):
+        ds, clusters = _tie_heavy_round(rng, d)
+        for members, geom in zip(clusters, round_geometry(clusters, ds), strict=True):
+            edges, weights = reference_prim(ds.points, members)
+            assert np.array_equal(geom.mst_edges, edges)
+            assert np.array_equal(geom.mst_weights, weights)
+            one_edges, one_weights = build_mst(members, ds)
+            assert np.array_equal(one_edges, edges) and np.array_equal(one_weights, weights)
+            pts = ds.points[members]
+            old_dm = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).mean())
+            assert geom.dm == compactness_dm(members, ds) == old_dm
+            if members.size == 1:
+                assert geom.endpoints is None and geom.mc == 1.0
+                continue
+            (a, b), path = reference_endpoints(edges, weights)
+            assert find_endpoints(edges, weights) == ((a, b), path)
+            euclid = float(np.linalg.norm(ds.points[a] - ds.points[b]))
+            assert geom.endpoints == (a, b)
+            assert geom.path_dist == path and geom.euclid_dist == euclid
+            assert geom.mc == (math.inf if euclid == 0.0 else path / euclid)
+
+
+def test_split_all_calls_split_once_once_per_candidate(monkeypatch):
+    """split_all decides every split through the module's split_once.
+
+    Each candidate (a cluster larger than beta in some round) gets exactly
+    one call; every result is None or a pair of children partitioning the
+    cluster, and the accepted ones match the report's records one to one.
+    """
+    rng = np.random.default_rng(9)
+    ds = Dataset(np.round(rng.standard_normal((300, 2)) * 8) / 8)
+    cfg = SplitConfig(beta=6)
+    results = []
+    real = splitting.split_once
+
+    def spy(cluster, ds_, cfg_, geom=None):
+        result = real(cluster, ds_, cfg_, geom)
+        results.append((np.asarray(cluster), result))
+        return result
+
+    monkeypatch.setattr(splitting, "split_once", spy)
+    out, report = split_all(build_pseudo_clusters(ds, 6), ds, cfg)
+    accepted = [r for _, r in results if r is not None]
+    assert len(accepted) == len(report.records) > 0
+    declined = sum(r is None for _, r in results)
+    assert declined == sum(members.size > cfg.beta for members in out.clusters)
+    for members, result in results:
+        if result is not None:
+            child1, child2 = result
+            assert np.array_equal(np.sort(np.concatenate([child1, child2])), np.sort(members))
