@@ -7,12 +7,17 @@ law to the splitting stage.  With bounded n* the fitted exponent should sit
 near 1 — far below quadratic.  Pass --full for the 16k point run.
 """
 
+import os
 import sys
 import time
 
-import numpy as np
+# Before numpy loads OpenBLAS: the Laplacians here are a few hundred rows,
+# where a second BLAS thread spends more time waking up than it saves.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import microclust as mc
+import numpy as np  # noqa: E402
+
+import microclust as mc  # noqa: E402
 
 sizes = [1000, 2000, 4000, 8000, 16000] if "--full" in sys.argv else [1000, 2000, 4000]
 

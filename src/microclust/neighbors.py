@@ -8,9 +8,9 @@ per tree) is a pseudo-cluster.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -23,6 +23,9 @@ from .data import Dataset
 # KD-trees degrade toward brute force in high dimension; cross over early.
 _KDTREE_MAX_DIM = 16
 _BRUTE_CHUNK = 512
+# Suspect KD-tree rows are repaired _REPAIR_CANDIDATES // (k + 2) at a time,
+# which bounds the candidate arrays unless a row's k-th shell is crowded.
+_REPAIR_CANDIDATES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -39,16 +42,6 @@ class NeighborTable:
     @property
     def n(self) -> int:
         return self.indices.shape[0]
-
-    def to_json(self) -> str:
-        """Debug dump of the table."""
-        return json.dumps(
-            {
-                "k": int(self.k),
-                "indices": self.indices.tolist(),
-                "distances": self.distances.tolist(),
-            }
-        )
 
 
 @dataclass(frozen=True)
@@ -99,12 +92,56 @@ def _row_sort(indices: np.ndarray, distances: np.ndarray):
     return indices[rows, order], distances[rows, order]
 
 
-def _knn_row_exact(points: np.ndarray, i: int, k: int):
-    """Exact row recompute for tie-heavy neighborhoods."""
-    d = np.linalg.norm(points - points[i], axis=1)
-    d[i] = np.inf
-    order = np.lexsort((np.arange(points.shape[0]), d))[:k]
-    return order, d[order]
+def _first_k(rows: np.ndarray, idx: np.ndarray, dist: np.ndarray, k: int, nrows: int):
+    """First k candidates of each row by (distance, index).
+
+    Candidate c is point idx[c] at distance dist[c] from the query of row
+    rows[c] (0 <= rows[c] < nrows); every row needs at least k candidates.
+    Returns (indices, distances), both (nrows, k).
+    """
+    order = np.lexsort((idx, dist, rows))
+    counts = np.bincount(rows, minlength=nrows)
+    if (counts < k).any():
+        raise AssertionError("a repaired k-NN row has fewer than k candidates")
+    take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    return idx[take], dist[take]
+
+
+def _duplicate_rows(tree: cKDTree, points: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """Neighbours of rows whose k-th neighbour distance is 0.
+
+    Such a row's neighbours are the k smallest-index other points at
+    distance 0.  A distance is 0 exactly when every squared coordinate
+    difference is 0 (including differences that underflow), so one r = 0
+    ball query per set of identical rows returns that set, the row included:
+    a group of g clones costs O(g), not g^2 candidates.
+    """
+    _, first, group = np.unique(points[rows], axis=0, return_index=True, return_inverse=True)
+    balls = tree.query_ball_point(points[rows[first]], r=0.0, return_sorted=True)
+    head = np.array([ball[: k + 1] for ball in balls], dtype=np.int64)[group.ravel()]
+    keep = head != rows[:, None]
+    keep[keep.all(axis=1), k] = False  # the row itself lies beyond its first k + 1
+    return head[keep].reshape(rows.size, k)
+
+
+def _ball_rows(tree: cKDTree, points: np.ndarray, rows: np.ndarray, kth: np.ndarray, k: int):
+    """Exact rows from every point within the k-th tree distance (kth > 0).
+
+    The radius is raised by a relative 1e-9 and one ulp so that rounding
+    differences between the tree's distances and np.linalg.norm cannot drop
+    a tied point.  Distances are recomputed with the row formula
+    norm(points[j] - points[i]) so they carry the same bits as a full-row
+    scan would.
+    """
+    radius = np.nextafter(kth * (1 + 1e-9), np.inf)
+    balls = tree.query_ball_point(points[rows], radius, return_sorted=False)
+    counts = np.fromiter(map(len, balls), dtype=np.int64, count=rows.size)
+    cand = np.fromiter(chain.from_iterable(balls), dtype=np.int64, count=int(counts.sum()))
+    row = np.repeat(np.arange(rows.size), counts)
+    other = cand != rows[row]
+    cand, row = cand[other], row[other]
+    dist = np.linalg.norm(points[cand] - points[rows[row]], axis=1)
+    return _first_k(row, cand, dist, k, rows.size)
 
 
 def _knn_kdtree(points: np.ndarray, k: int):
@@ -122,13 +159,19 @@ def _knn_kdtree(points: np.ndarray, k: int):
     # The tree's choice among equidistant candidates is arbitrary.  Rows
     # where a real neighbor was dropped at the same distance as the k-th
     # kept one (or where duplicates crowded the query point out of its own
-    # results) are recomputed exactly, restoring smallest-index tie order.
-    if q > k:
-        dropped = dist[:, k]
-        suspect = ~self_mask.any(axis=1)
-        suspect |= np.isfinite(dropped) & (dropped <= out_dist[:, k - 1])
-        for i in np.flatnonzero(suspect):
-            out_idx[i], out_dist[i] = _knn_row_exact(points, i, k)
+    # results, which puts the k-th distance at 0) are recomputed exactly,
+    # restoring smallest-index tie order.
+    kth = out_dist[:, k - 1]
+    suspect = np.flatnonzero(~self_mask.any(axis=1) | (dist[:, k] <= kth))
+    zero = suspect[kth[suspect] == 0]
+    if zero.size:
+        out_idx[zero] = _duplicate_rows(tree, points, zero, k)
+        out_dist[zero] = 0.0
+    ball = suspect[kth[suspect] > 0]
+    step = max(1, _REPAIR_CANDIDATES // (k + 2))
+    for start in range(0, ball.size, step):
+        rows = ball[start : start + step]
+        out_idx[rows], out_dist[rows] = _ball_rows(tree, points, rows, kth[rows], k)
     return out_idx, out_dist
 
 
@@ -150,11 +193,14 @@ def _knn_brute(points: np.ndarray, k: int):
         dist_out[start:stop] = pd[:, :k]
         if q > k:
             # argpartition picks arbitrarily among distances tied across the
-            # kept/dropped boundary; redo those rows with a full lexsort
-            for r in np.flatnonzero(pd[:, k] <= pd[:, k - 1]):
-                order = np.lexsort((np.arange(n), d[r]))[:k]
-                idx_out[start + r] = order
-                dist_out[start + r] = d[r, order]
+            # kept/dropped boundary; redo those rows from every point within
+            # their k-th distance
+            tied = np.flatnonzero(pd[:, k] <= pd[:, k - 1])
+            block = d[tied]
+            row, cand = np.nonzero(block <= pd[tied, k - 1, None])
+            idx_out[start + tied], dist_out[start + tied] = _first_k(
+                row, cand, block[row, cand], k, tied.size
+            )
     return idx_out, dist_out
 
 

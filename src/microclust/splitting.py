@@ -101,9 +101,10 @@ def _prim_forest(clusters, ds: Dataset):
     the layout and each step is one vectorised pass over that prefix: a
     round costs max(s) steps, its working arrays O(sum(s) * d).
 
-    Returns (edges, weights, offsets): cluster t's s_t - 1 edges, as global
+    Returns (edges, weights, offsets): cluster t's s_t - 1 edges, as
     (parent, child) pairs in the order Prim adds them, are
-    edges[offsets[t]:offsets[t + 1]].
+    edges[offsets[t]:offsets[t + 1]]; an edge's vertices are positions in
+    np.concatenate(clusters).
     """
     sizes = np.array([len(c) for c in clusters], dtype=np.int64)
     if (sizes == 0).any():
@@ -148,49 +149,55 @@ def _prim_forest(clusters, ds: Dataset):
         masked[u] = np.inf
     np.sqrt(weights, out=weights)
 
-    # back to the callers' cluster order
+    # back to the callers' cluster order and vertex positions
     out_off = np.zeros(sizes.size + 1, dtype=np.int64)
     np.cumsum(sizes - 1, out=out_off[1:])
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     src = np.repeat(eoff[rank] - out_off[:-1], sizes - 1) + np.arange(out_off[-1])
-    edges = np.column_stack([gid[head[src]], gid[tail[src]]])
+    caller_off = out_off + np.arange(sizes.size + 1)  # s_t vertices per cluster
+    to_caller = np.arange(gid.size) + np.repeat(caller_off[order] - off[:-1], sizes_sorted)
+    edges = np.column_stack([to_caller[head[src]], to_caller[tail[src]]])
     return edges, weights[src], out_off
 
 
-def _tree_diameters(edges: np.ndarray, weights: np.ndarray, offsets: np.ndarray):
+def _tree_diameters(edges: np.ndarray, weights: np.ndarray, ids: np.ndarray, starts: np.ndarray):
     """Diameter endpoints and path lengths of every tree in a forest.
 
-    Tree t is the edge list edges[offsets[t]:offsets[t + 1]] (at least one
-    edge, global vertex ids; trees share no vertex).  Two farthest-point
-    sweeps, exact on trees with nonnegative weights: each sweep is one
-    multi-source Dijkstra over the block-diagonal forest, so path lengths
-    are sums outward from the sweep's start.  A sweep starts at the tree's
-    smallest vertex id and ties on the farthest distance go to the smallest
-    id.  Explicit zero-weight edges (duplicate points) count as edges.
-    Returns (ends, paths): ends[t] = (a, b) with a < b.
+    The forest's vertices are positions 0..len(ids)-1; tree t owns the
+    contiguous run starts[t]:starts[t + 1] and ids gives each vertex's
+    (distinct) point id.  edges holds (u, v) position pairs and weights
+    their nonnegative lengths.  Two farthest-point sweeps, exact on trees:
+    each sweep is one multi-source Dijkstra over the block-diagonal forest,
+    so path lengths are sums outward from the sweep's start.  A sweep starts
+    at the tree's smallest id and ties on the farthest distance go to the
+    smallest id.  Explicit zero-weight edges (duplicate points) count as
+    edges.  Returns (ends, paths): ends[t] = (a, b) point ids with a <= b.
     """
-    counts = np.diff(offsets)
-    tree = np.repeat(np.arange(counts.size), counts)
-    width = int(edges.max()) + 1
-    # vertices numbered by (tree, id): each tree is one contiguous run
-    verts, inv = np.unique((tree * width)[:, None] + edges, return_inverse=True)
-    inv = inv.reshape(edges.shape)
-    seg = verts // width
-    starts = np.searchsorted(seg, np.arange(counts.size))
+    n = ids.size
+    seg = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+    heads = starts[:-1]
+    src, dst = edges.ravel("F"), edges[:, ::-1].ravel("F")
+    by_src = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int32)  # csgraph works on int32 indices
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     graph = csr_matrix(
-        (np.concatenate([weights, weights]), (inv.ravel("F"), inv[:, ::-1].ravel("F"))),
-        shape=(verts.size, verts.size),
+        (np.concatenate([weights, weights])[by_src], dst[by_src].astype(np.int32), indptr),
+        shape=(n, n),
     )
+    no_id = np.iinfo(np.int64).max
+
+    def smallest_id(where):
+        best = np.minimum.reduceat(np.where(where, ids, no_id), heads)
+        return np.flatnonzero(ids == best[seg])
 
     def farthest(sources):
         dist = dijkstra(graph, indices=sources, min_only=True)
-        return _first_extreme(dist, starts, seg, np.maximum), dist
+        return smallest_id(dist == np.maximum.reduceat(dist, heads)[seg]), dist
 
-    u, _ = farthest(starts)
+    u, _ = farthest(smallest_id(True))  # first sweep: from each tree's smallest id
     v, dist = farthest(u)
-    ends = np.sort(np.column_stack([verts[u], verts[v]]) % width, axis=1)
-    return ends, dist[v]
+    return np.sort(np.column_stack([ids[u], ids[v]]), axis=1), dist[v]
 
 
 def build_mst(cluster: np.ndarray, ds: Dataset):
@@ -202,8 +209,9 @@ def build_mst(cluster: np.ndarray, ds: Dataset):
     (edges, weights) with edges as global point-index pairs; a singleton
     cluster yields empty arrays.
     """
+    cluster = np.asarray(cluster, dtype=np.int64)
     edges, weights, _ = _prim_forest([cluster], ds)
-    return edges, weights
+    return cluster[edges], weights
 
 
 def find_endpoints(mst_edges: np.ndarray, mst_weights: np.ndarray):
@@ -214,9 +222,10 @@ def find_endpoints(mst_edges: np.ndarray, mst_weights: np.ndarray):
     """
     if mst_edges.shape[0] < 1:
         raise ValueError("need an MST spanning at least 2 points")
+    ids, local = np.unique(np.asarray(mst_edges, dtype=np.int64), return_inverse=True)
     ends, paths = _tree_diameters(
-        np.asarray(mst_edges, dtype=np.int64), np.asarray(mst_weights, dtype=np.float64),
-        np.array([0, mst_edges.shape[0]]),
+        local.reshape(mst_edges.shape), np.asarray(mst_weights, dtype=np.float64),
+        ids, np.array([0, ids.size]),
     )
     return (int(ends[0, 0]), int(ends[0, 1])), float(paths[0])
 
@@ -269,21 +278,18 @@ def round_geometry(clusters, ds: Dataset, dms=None) -> list[ClusterGeometry]:
         return []
     if dms is None:
         dms = [compactness_dm(c, ds) for c in clusters]
-    edges, weights, offsets = _prim_forest(clusters, ds)
-    multi = [t for t, c in enumerate(clusters) if c.size > 1]
-    if multi:
-        tree_off = np.append(offsets[multi], offsets[-1])
-        ends, paths = _tree_diameters(edges, weights, tree_off)
+    ids = np.concatenate(clusters)
+    local, weights, offsets = _prim_forest(clusters, ds)
+    ends, paths = _tree_diameters(local, weights, ids, offsets + np.arange(offsets.size))
+    edges = ids[local]
     out = []
-    j = 0
     for t, members in enumerate(clusters):
         e, w = edges[offsets[t]:offsets[t + 1]], weights[offsets[t]:offsets[t + 1]]
         if members.size < 2:
             out.append(ClusterGeometry(e, w, None, 0.0, 0.0, 1.0, dms[t]))
             continue
-        a, b = int(ends[j, 0]), int(ends[j, 1])
-        path_dist = float(paths[j])
-        j += 1
+        a, b = int(ends[t, 0]), int(ends[t, 1])
+        path_dist = float(paths[t])
         euclid = float(np.linalg.norm(ds.points[a] - ds.points[b]))
         mc = _curvature(path_dist, euclid)
         out.append(ClusterGeometry(e, w, (a, b), path_dist, euclid, mc, dms[t]))
@@ -304,13 +310,23 @@ def _partition_by_endpoints(members: np.ndarray, endpoints: tuple[int, int], ds:
     return members[to_a], members[~to_a]
 
 
+class _Children(tuple):
+    """split_once's (child1, child2), carrying the children's compactness as dms."""
+
+    def __new__(cls, child1: np.ndarray, child2: np.ndarray, dms: tuple[float, float]):
+        pair = super().__new__(cls, (child1, child2))
+        pair.dms = dms
+        return pair
+
+
 def split_once(cluster: np.ndarray, ds: Dataset, cfg: SplitConfig, geom: ClusterGeometry | None = None):
     """One split attempt; returns (child1, child2) or None.
 
     A cluster splits only when it is larger than beta, its curvature passes
     the lam gate (skipped in compactness-only mode), both candidate children
     are nonempty, and the weighted child compactness strictly improves on the
-    parent's.  Mode no-split always declines.
+    parent's.  Mode no-split always declines.  The returned pair also
+    carries the children's compactness values as its ``dms`` attribute.
     """
     members = np.asarray(cluster, dtype=np.int64)
     if cfg.mode == "no-split" or members.size <= cfg.beta or members.size < 2:
@@ -323,9 +339,10 @@ def split_once(cluster: np.ndarray, ds: Dataset, cfg: SplitConfig, geom: Cluster
     child1, child2 = _partition_by_endpoints(members, geom.endpoints, ds)
     if child1.size == 0 or child2.size == 0:
         return None
-    if weighted_dm(child1, child2, ds) >= geom.dm:
+    dms = compactness_dm(child1, ds), compactness_dm(child2, ds)
+    if _weighted(child1.size, dms[0], child2.size, dms[1]) >= geom.dm:
         return None
-    return child1, child2
+    return _Children(child1, child2, dms)
 
 
 def default_max_rounds(n: int) -> int:
@@ -339,7 +356,8 @@ def split_all(pcs: PseudoClusterSet, ds: Dataset, cfg: SplitConfig):
     than beta) in one round_geometry call, then tries them in ascending id
     order with split_once; children join the next round's queue.  Children
     adopt their endpoint seed as core.  Each child's compactness is computed
-    once, for the split record, and serves as its dm in the next round.
+    once, by split_once for its decision, and serves the split record and
+    the child's dm in the next round.
     Returns the new partition and a SplitReport (one record per accepted
     split).
     """
@@ -379,7 +397,7 @@ def split_all(pcs: PseudoClusterSet, ds: Dataset, cfg: SplitConfig):
             child1, child2 = result
             assert geom.endpoints is not None
             e1, e2 = geom.endpoints
-            dm1, dm2 = compactness_dm(child1, ds), compactness_dm(child2, ds)
+            dm1, dm2 = result.dms
             report.records.append(
                 {
                     "parent_size": int(members.size),

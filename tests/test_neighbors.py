@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -84,6 +85,55 @@ def test_knn_tie_heavy_data_matches_brute_force():
             np.testing.assert_allclose(nt.distances, bd, atol=1e-12)
 
 
+def _tie_case(name: str, rng) -> np.ndarray:
+    """Point sets whose k-NN rows are decided by exact distance ties."""
+    if name == "duplicate-groups":
+        # groups of 1, 2, 4 and 9 clones: exactly k + 1 for k = 1 and 3, and
+        # larger, so the query point can be crowded out of its own row
+        base = rng.standard_normal((16, 2))
+        return np.repeat(base, rng.choice([1, 2, 4, 9], size=16), axis=0)
+    if name == "lattice-shells":
+        g = np.arange(5.0)
+        return np.stack(np.meshgrid(g, g, g), axis=-1).reshape(-1, 3)
+    if name == "integer-1d":
+        return rng.integers(0, 40, size=(150, 1)).astype(float)
+    if name == "underflow":
+        # differences of 1e-170 square to 0, so those points sit at distance
+        # 0 from each other without being equal; 1e-150 does not underflow
+        tiny = [[0.0, 0.0], [1e-170, 0.0], [0.0, -1e-170], [1e-200, 1e-200], [1e-150, 0.0]]
+        far = [[1.0, 1.0], [1.0, 1.0 + 1e-170], [2.0, 2.0], [2.0, 2.0]]
+        return np.array((tiny + far) * 4)
+    if name == "high-dim":  # d > 16 takes the blocked brute-force path
+        pts = np.repeat(rng.standard_normal((12, 20)), rng.choice([1, 2, 4, 9], size=12), axis=0)
+        return np.vstack([pts, np.round(rng.standard_normal((40, 20)))])
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize(
+    "name", ["duplicate-groups", "lattice-shells", "integer-1d", "underflow", "high-dim"]
+)
+def test_knn_tie_property_matches_brute_force(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for _ in range(3):
+        pts = _tie_case(name, rng)
+        ds = Dataset(pts[rng.permutation(pts.shape[0])])
+        for k in (1, 3, ds.n - 1):
+            nt = compute_knn(ds, k)
+            bi, bd = brute_force_knn(ds.points, k)
+            np.testing.assert_array_equal(nt.indices, bi)
+            np.testing.assert_allclose(nt.distances, bd, rtol=1e-12, atol=0)
+
+
+def test_knn_tie_repair_scales_on_grid_data():
+    # every point of a 0.1 grid in 3-D has about six clones and tied shells;
+    # an O(n) rescan per tied row took 5 s here, the ball repair about 0.2 s
+    rng = np.random.default_rng(0)
+    ds = Dataset(np.round(rng.random((8000, 3)) * 10) / 10)
+    t0 = time.perf_counter()
+    compute_knn(ds, 10)
+    assert time.perf_counter() - t0 < 1.5
+
+
 def test_knn_matches_brute_force_randomized():
     rng = np.random.default_rng(42)
     for _ in range(25):
@@ -96,10 +146,17 @@ def test_knn_matches_brute_force_randomized():
         np.testing.assert_array_equal(nt.indices, bi)
 
 
+def _table_json(nt) -> str:
+    """Debug dump of a neighbor table."""
+    return json.dumps(
+        {"k": int(nt.k), "indices": nt.indices.tolist(), "distances": nt.distances.tolist()}
+    )
+
+
 def test_neighbor_table_json_dump():
     ds = Dataset(np.array([[0.0], [1.0], [3.0]]))
     nt = compute_knn(ds, 2)
-    payload = json.loads(nt.to_json())
+    payload = json.loads(_table_json(nt))
     assert payload["k"] == 2
     assert payload["indices"][0] == [1, 2]
 

@@ -349,3 +349,21 @@ def test_split_all_calls_split_once_once_per_candidate(monkeypatch):
         if result is not None:
             child1, child2 = result
             assert np.array_equal(np.sort(np.concatenate([child1, child2])), np.sort(members))
+
+
+def test_split_all_computes_each_compactness_once(monkeypatch):
+    # a child's compactness decides its split and serves as its dm in the
+    # next round; no member set is measured twice
+    rng = np.random.default_rng(9)
+    ds = Dataset(np.round(rng.standard_normal((300, 2)) * 8) / 8)
+    seen = []
+    real = splitting.compactness_dm
+
+    def spy(cluster, ds_):
+        seen.append(tuple(np.sort(np.asarray(cluster)).tolist()))
+        return real(cluster, ds_)
+
+    monkeypatch.setattr(splitting, "compactness_dm", spy)
+    _, report = split_all(build_pseudo_clusters(ds, 6), ds, SplitConfig(beta=6))
+    assert len(report.records) > 0
+    assert len(seen) == len(set(seen))
