@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .neighbors import PseudoClusterSet
-from .splitting import compactness_dm, weighted_dm
+from .splitting import _weighted, compactness_dm
 
 _PAIR_CHUNK = 2048
 
@@ -55,11 +55,11 @@ def farthest_pair(members: np.ndarray, ds: Dataset) -> tuple[int, int]:
     return int(members[i]), int(members[j])
 
 
-def _make_ball(members: np.ndarray, ds: Dataset) -> GranularBall:
+def _make_ball(members: np.ndarray, dm: float, ds: Dataset) -> GranularBall:
     pts = ds.points[members]
     center = pts.mean(axis=0)
     radius = float(np.linalg.norm(pts - center, axis=1).max())
-    return GranularBall(members, center, radius, compactness_dm(members, ds))
+    return GranularBall(members, center, radius, dm)
 
 
 def gb_generate(ds: Dataset, min_size: int = 8, split_log: list | None = None) -> list[GranularBall]:
@@ -68,18 +68,20 @@ def gb_generate(ds: Dataset, min_size: int = 8, split_log: list | None = None) -
     Balls are processed FIFO; a ball splits iff the weighted child
     compactness is strictly below the parent's and the ball holds more than
     min_size points.  The optional split_log collects one record per
-    accepted split.
+    accepted split.  Each ball's compactness is computed once, when it is
+    made, and travels with it through the queue.
     """
     if ds.n < 1:
         raise ValueError("empty dataset")
     if min_size < 2:
         raise ValueError("min_size must be >= 2")
-    queue = [np.arange(ds.n, dtype=np.int64)]
+    root = np.arange(ds.n, dtype=np.int64)
+    queue = [(root, compactness_dm(root, ds))]
     balls: list[GranularBall] = []
     while queue:
-        members = queue.pop(0)
+        members, dm_parent = queue.pop(0)
         if members.size <= min_size:
-            balls.append(_make_ball(members, ds))
+            balls.append(_make_ball(members, dm_parent, ds))
             continue
         p1, p2 = farthest_pair(members, ds)
         d1 = np.linalg.norm(ds.points[members] - ds.points[p1], axis=1)
@@ -87,10 +89,10 @@ def gb_generate(ds: Dataset, min_size: int = 8, split_log: list | None = None) -
         to_p1 = d1 <= d2  # ties go to the lexicographically first seed
         child1, child2 = members[to_p1], members[~to_p1]
         if child1.size == 0 or child2.size == 0:
-            balls.append(_make_ball(members, ds))
+            balls.append(_make_ball(members, dm_parent, ds))
             continue
-        dm_parent = compactness_dm(members, ds)
-        dm_w = weighted_dm(child1, child2, ds)
+        dm1, dm2 = compactness_dm(child1, ds), compactness_dm(child2, ds)
+        dm_w = _weighted(child1.size, dm1, child2.size, dm2)
         if dm_w < dm_parent:
             if split_log is not None:
                 split_log.append(
@@ -101,10 +103,10 @@ def gb_generate(ds: Dataset, min_size: int = 8, split_log: list | None = None) -
                         "child_sizes": [int(child1.size), int(child2.size)],
                     }
                 )
-            queue.append(child1)
-            queue.append(child2)
+            queue.append((child1, dm1))
+            queue.append((child2, dm2))
         else:
-            balls.append(_make_ball(members, ds))
+            balls.append(_make_ball(members, dm_parent, ds))
     return balls
 
 

@@ -1,15 +1,19 @@
 """Dense symmetric eigensolver and k-means with k-means++.
 
 ``jacobi_eigh`` makes one LAPACK call (``np.linalg.eigh``, divide-and-conquer
-dsyevd).  The name is kept from the cyclic Jacobi it replaced, because the
-public API, the tests and the benchmark's tracer and checks reach the solver
-by it.  The contract is unchanged: the full spectrum in ascending order, with
-deterministically signed eigenvectors.
+dsyevd) per connected component of the matrix's nonzero pattern: a
+disconnected Laplacian is block diagonal, and its spectrum is the union of
+its blocks' spectra.  The name is kept from the cyclic Jacobi it replaced,
+because the public API, the tests and the benchmark's tracer and checks reach
+the solver by it.  The contract is unchanged: the full spectrum in ascending
+order, with deterministically signed eigenvectors.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 # Relative margin by which a later k-means restart must beat the best inertia
 # so far; within it the earlier restart is kept, so the winner does not hinge
@@ -21,23 +25,48 @@ class NumericalError(RuntimeError):
     """Clustering failure with diagnostics."""
 
 
+def _max_asymmetry(a: np.ndarray) -> float:
+    """max |a - a.T|, with one m x m temporary (np.allclose makes several)."""
+    diff = a - a.T
+    return float(np.abs(diff, out=diff).max())
+
+
 def jacobi_eigh(matrix: np.ndarray):
     """All eigenvalues/eigenvectors of a real symmetric matrix.
 
     Returns (w, V) with w ascending and eigenvectors in the columns of V,
     each sign-fixed so its largest-magnitude entry is positive (the first
-    such entry on ties).
+    such entry on ties).  Each connected component of the nonzero pattern is
+    solved on its own; its eigenvectors are zero outside it.  Equal
+    eigenvalues of different components keep the components' order (by
+    smallest member).  A connected matrix is one block, solved whole.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError("matrix must be square and nonempty")
     # Non-finite entries make LAPACK return NaNs without an error.
-    if not np.isfinite(a).all() or not np.allclose(a, a.T, rtol=0, atol=1e-12):
+    if not np.isfinite(a).all() or _max_asymmetry(a) > 1e-12:
         raise ValueError("matrix must be finite and symmetric")
-    w, v = np.linalg.eigh(a)
-    lead = np.argmax(np.abs(v), axis=0)
-    v *= np.where(v[lead, np.arange(v.shape[1])] < 0, -1.0, 1.0)
-    return w, v
+    m = a.shape[0]
+    n_blocks, block_of = connected_components(csr_matrix(a != 0), directed=False)
+    blocks = np.split(np.argsort(block_of, kind="stable"), np.cumsum(np.bincount(block_of))[:-1])
+    solved = []
+    for idx in blocks:
+        wb, vb = np.linalg.eigh(a if n_blocks == 1 else a[np.ix_(idx, idx)])
+        lead = np.argmax(np.abs(vb), axis=0)
+        vb *= np.where(vb[lead, np.arange(vb.shape[1])] < 0, -1.0, 1.0)
+        solved.append((idx, wb, vb))
+    w = np.concatenate([wb for _, wb, _ in solved])
+    if n_blocks == 1:
+        return w, solved[0][2]  # already ascending; no m x m copy
+    order = np.argsort(w, kind="stable")
+    column = np.argsort(order)  # each block eigenpair's place in the ascending order
+    v = np.zeros((m, m))
+    start = 0
+    for idx, _, vb in solved:
+        v[np.ix_(idx, column[start : start + idx.size])] = vb
+        start += idx.size
+    return w[order], v
 
 
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -104,5 +133,7 @@ def kmeans(x: np.ndarray, n_clusters: int, seed: int, n_restarts: int = 10, max_
         labels, inertia = _lloyd(x, centers, max_iter)
         if inertia < best_inertia * (1.0 - INERTIA_RTOL):
             best_labels, best_inertia = labels, inertia
+        if best_inertia == 0.0:
+            break  # no later restart can beat it by the margin above
     assert best_labels is not None
     return best_labels.astype(np.int32), best_inertia

@@ -44,7 +44,10 @@ def _comb2(x: np.ndarray) -> np.ndarray:
 
 def ari(pred, truth) -> float:
     """Adjusted Rand index (pair-counting, chance-corrected), in [-1, 1]."""
-    table = contingency_table(pred, truth)
+    return _ari(contingency_table(pred, truth))
+
+
+def _ari(table: ContingencyTable) -> float:
     if table.n < 2:
         raise ValueError("need at least 2 points")
     sum_ij = _comb2(table.counts.astype(np.float64)).sum()
@@ -66,7 +69,10 @@ def _entropy(marginals: np.ndarray, n: int) -> float:
 
 def nmi(pred, truth, normalization: str = "geometric") -> float:
     """Normalized mutual information in [0, 1]; 0 when either labeling is constant."""
-    table = contingency_table(pred, truth)
+    return _nmi(contingency_table(pred, truth), normalization)
+
+
+def _nmi(table: ContingencyTable, normalization: str = "geometric") -> float:
     n = table.n
     nz = table.counts > 0
     pij = table.counts[nz] / n
@@ -93,18 +99,21 @@ def acc(pred, truth) -> float:
     Solved as a linear assignment on the negated contingency table (scipy
     handles rectangular tables directly, equivalent to zero padding).
     """
-    table = contingency_table(pred, truth)
+    return _acc(contingency_table(pred, truth))
+
+
+def _acc(table: ContingencyTable) -> float:
     rows, cols = linear_sum_assignment(-table.counts)
     return float(table.counts[rows, cols].sum() / table.n)
 
 
 def metrics_report(pred, truth, runtime_ms: float | None = None) -> dict:
-    """JSON-ready summary: raw fractions plus label counts."""
+    """JSON-ready summary: raw fractions plus label counts, from one contingency table."""
     table = contingency_table(pred, truth)
     return {
-        "ari": ari(pred, truth),
-        "nmi": nmi(pred, truth),
-        "acc": acc(pred, truth),
+        "ari": _ari(table),
+        "nmi": _nmi(table),
+        "acc": _acc(table),
         "n": int(table.n),
         "C_pred": int(table.counts.shape[0]),
         "C_true": int(table.counts.shape[1]),

@@ -132,3 +132,27 @@ def test_balls_to_microclusters_roundtrip():
     for t, ball in enumerate(balls):
         np.testing.assert_array_equal(pcs.clusters[t], np.sort(ball.members))
         assert pcs.cores[t] in ball.members
+
+
+def test_gb_computes_each_compactness_once(monkeypatch):
+    # a ball's compactness is measured when the ball is made and travels with
+    # it: the split test, the parent's dm and the final ball reuse it
+    from microclust import granular, splitting
+
+    rng = np.random.default_rng(31)
+    ds = Dataset(rng.standard_normal((200, 2)))
+    seen = []
+    real = splitting.compactness_dm
+
+    def spy(cluster, ds_):
+        seen.append(tuple(np.sort(np.asarray(cluster)).tolist()))
+        return real(cluster, ds_)
+
+    monkeypatch.setattr(granular, "compactness_dm", spy)
+    monkeypatch.setattr(splitting, "compactness_dm", spy)
+    log = []
+    balls = gb_generate(ds, min_size=8, split_log=log)
+    assert len(log) > 0
+    assert len(seen) == len(set(seen))
+    for ball in balls:
+        assert ball.dm == real(ball.members, ds)

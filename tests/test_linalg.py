@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh as oracle_eigh
@@ -76,6 +78,63 @@ def test_jacobi_deterministic_signs():
         assert v1[lead, j] > 0
 
 
+def _one_lapack_call(a):
+    w, v = np.linalg.eigh(a)
+    lead = np.argmax(np.abs(v), axis=0)
+    v *= np.where(v[lead, np.arange(v.shape[1])] < 0, -1.0, 1.0)
+    return w, v
+
+
+def test_jacobi_solves_each_component_alone():
+    # A connected matrix is one LAPACK call, bit for bit.
+    rng = np.random.default_rng(11)
+    a = random_symmetric(rng, 20)
+    for got, want in zip(jacobi_eigh(a), _one_lapack_call(a)):
+        np.testing.assert_array_equal(got, want)
+    # Components of sizes 6, 1, 9, 4, 1, 6 on interleaved members; the last
+    # repeats the first block, so its eigenvalues tie the first's exactly.
+    sizes = [6, 1, 9, 4, 1, 6]
+    bounds = np.cumsum(sizes)[:-1]
+    members = [np.sort(c) for c in np.split(rng.permutation(sum(sizes)), bounds)]
+    blocks = [random_symmetric(rng, s) for s in sizes]
+    blocks[5] = blocks[0]
+    m = sum(sizes)
+    a = np.zeros((m, m))
+    for idx, block in zip(members, blocks):
+        a[np.ix_(idx, idx)] = block
+    # Expected: each block's own eigenpairs, zero outside the block, in
+    # ascending order with ties kept in order of the component's smallest member.
+    expected = []
+    for idx in sorted(members, key=lambda idx: idx[0]):
+        wb, vb = _one_lapack_call(a[np.ix_(idx, idx)])
+        for j in range(idx.size):
+            col = np.zeros(m)
+            col[idx] = vb[:, j]
+            expected.append((wb[j], col))
+    expected.sort(key=lambda e: e[0])
+    w, v = jacobi_eigh(a)
+    np.testing.assert_array_equal(w, [e[0] for e in expected])
+    np.testing.assert_array_equal(v, np.column_stack([e[1] for e in expected]))
+    np.testing.assert_allclose(w, oracle_eigh(a, eigvals_only=True, driver=ORACLE_DRIVER), atol=1e-8)
+
+
+def test_jacobi_symmetry_check_makes_one_temporary():
+    m = 400
+    a = np.zeros((m, m))
+    a[0, 1] = 2e-12
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="symmetric"):
+            jacobi_eigh(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * a.nbytes  # np.allclose peaked near 2.2x
+    a = np.zeros((3, 3))
+    a[0, 1] = 1e-12  # the tolerance itself is still accepted
+    jacobi_eigh(a)
+
+
 def test_kmeans_separated_blobs():
     rng = np.random.default_rng(2)
     x = np.vstack([rng.standard_normal((40, 2)), rng.standard_normal((40, 2)) + 100])
@@ -112,6 +171,21 @@ def test_kmeans_near_tie_keeps_earliest_restart(monkeypatch):
     restarts = iter([(first, 1.0), (second, 1.0 - 1e-6)])
     labels, inertia = kmeans(x, 2, seed=0, n_restarts=2)
     np.testing.assert_array_equal(labels, second)
+
+
+def test_kmeans_stops_at_zero_inertia(monkeypatch):
+    from microclust import linalg
+
+    # Three distinct points, four copies each: the first restart's k-means++
+    # seeds one center per point, and no later restart can beat inertia 0.
+    x = np.repeat(np.eye(3), 4, axis=0)
+    calls = []
+    real = linalg._lloyd
+    monkeypatch.setattr(linalg, "_lloyd", lambda *args: calls.append(1) or real(*args))
+    labels, inertia = kmeans(x, 3, seed=0)
+    assert inertia == 0.0 and len(calls) == 1
+    assert np.unique(labels).size == 3
+    assert (labels.reshape(3, 4) == labels[::4, None]).all()
 
 
 def test_kmeans_c_equals_n():

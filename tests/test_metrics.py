@@ -137,3 +137,21 @@ def test_metrics_report_schema_conformant():
     )
     jsonschema.validate(rep, schema)
     assert rep["n"] == 4 and rep["C_pred"] == 2 and rep["C_true"] == 2
+
+
+def test_metrics_report_builds_one_table(monkeypatch):
+    from microclust import metrics
+
+    rng = np.random.default_rng(8)
+    pred = rng.integers(0, 4, 120)
+    truth = rng.integers(0, 3, 120)
+    calls = []
+    real = metrics.contingency_table
+    monkeypatch.setattr(
+        metrics, "contingency_table", lambda *args: calls.append(1) or real(*args)
+    )
+    rep = metrics_report(pred, truth)
+    assert len(calls) == 1
+    assert rep["ari"] == ari(pred, truth)
+    assert rep["nmi"] == nmi(pred, truth)
+    assert rep["acc"] == acc(pred, truth)

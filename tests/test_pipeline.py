@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -136,3 +141,36 @@ def test_gbsc_meta_has_ball_dump(blobs2):
     balls = res.meta["balls"]
     assert sum(b["size"] for b in balls) == blobs2.n
     assert all(b["radius"] >= 0 for b in balls)
+
+
+# More graph components than C: the smallest eigenvalue 0 repeats, and the
+# labels must not depend on which basis of its eigenspace BLAS threading yields.
+_THREADS_SCRIPT = """
+import numpy as np
+import microclust as mc
+base = mc.generate_synthetic("blobs", 1000, 0.25, 1, components=2)
+ds = mc.Dataset(np.round(base.points / 0.1) * 0.1, base.labels)
+res = mc.run_pipeline(ds, mc.RunConfig(k=10, n_clusters=2))
+print(res.meta["similarity_components"], res.point_labels.tobytes().hex())
+"""
+
+
+def test_labels_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path}
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    assert int(outputs[0][0]) > 2  # the degenerate case is really exercised
+    assert outputs[0] == outputs[1]
