@@ -76,13 +76,22 @@ class PseudoClusterSet:
     def validate(self) -> None:
         n = self.assignment.shape[0]
         total = np.concatenate(self.clusters) if self.clusters else np.array([], dtype=int)
-        if total.size != n or np.unique(total).size != n:
+        ordered = np.sort(total)
+        if total.size != n or (ordered[1:] == ordered[:-1]).any():
             raise ValueError("clusters do not partition the point set")
-        for t, members in enumerate(self.clusters):
-            if len(members) == 0:
-                raise ValueError(f"cluster {t} is empty")
-            if not (self.assignment[members] == t).all():
-                raise ValueError(f"assignment inconsistent for cluster {t}")
+        # The first defective cluster in id order is either empty or holds a
+        # member whose assignment names another cluster (never both).  An
+        # empty float member array can make `total` float, hence the cast.
+        sizes = self.sizes()
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        wrong = np.flatnonzero(self.assignment[total.astype(np.int64, copy=False)] != owner)
+        empty = np.flatnonzero(sizes == 0)
+        first_wrong = int(owner[wrong[0]]) if wrong.size else sizes.size
+        first_empty = int(empty[0]) if empty.size else sizes.size
+        if first_empty < first_wrong:
+            raise ValueError(f"cluster {first_empty} is empty")
+        if wrong.size:
+            raise ValueError(f"assignment inconsistent for cluster {first_wrong}")
 
 
 def _row_sort(indices: np.ndarray, distances: np.ndarray):

@@ -6,6 +6,10 @@ baseline), and "sc" (plain spectral clustering on the point-level k-NN
 graph).  Ablation modes: "single-cluster" starts splitting from the whole
 dataset instead of the leader components, "no-split" keeps the leader
 components as-is, "compactness-only" splits without the curvature gate.
+
+Inside ``shared_stages(ds)`` (``cli.run_sweep`` opens it) the stages that
+depend on neither the seed nor the split parameters run once per key and
+are shared by every ``run_pipeline`` call on that dataset object.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ import configparser
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -139,16 +145,95 @@ def _single_cluster_set(ds: Dataset, rho: np.ndarray) -> PseudoClusterSet:
     )
 
 
+def _freeze(value) -> None:
+    """Mark every array reachable through lists, tuples and dataclasses read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _freeze(item)
+    elif is_dataclass(value):
+        for f in fields(value):
+            _freeze(getattr(value, f.name))
+
+
+class _StageMemo:
+    """Seed-free stage results of one dataset, made read-only when stored.
+
+    Entries keyed by a neighbour count k are dropped as soon as another k is
+    asked for, so a sweep over k holds one k-NN table (or one sc adjacency)
+    at a time; the other entries (normalized data, balls per beta) stay.
+    """
+
+    def __init__(self, dataset: Dataset):
+        self.dataset = dataset
+        self.fixed: dict = {}
+        self.k: int | None = None
+        self.per_k: dict = {}
+
+    def get(self, key, compute, k: int | None = None):
+        if k is None:
+            table = self.fixed
+        else:
+            if k != self.k:
+                self.k, self.per_k = k, {}
+            table = self.per_k
+        if key not in table:
+            value = compute()
+            _freeze(value)
+            table[key] = value
+        return table[key]
+
+
+_MEMO: ContextVar[_StageMemo | None] = ContextVar("microclust_stage_memo", default=None)
+
+
+@contextmanager
+def shared_stages(ds: Dataset):
+    """Share the seed-free stages of every run_pipeline(ds, ...) call inside the block.
+
+    Only calls on this very dataset object are served from the memo; every
+    other call computes each stage as usual.
+    """
+    token = _MEMO.set(_StageMemo(ds))
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _stage(ds_raw: Dataset, key, compute, k: int | None = None):
+    """compute(), or its shared result inside shared_stages(ds_raw)."""
+    memo = _MEMO.get()
+    if memo is None or memo.dataset is not ds_raw:
+        return compute()
+    return memo.get(key, compute, k)
+
+
+def _ball_stage(ds: Dataset, beta: int):
+    log: list[dict] = []
+    balls = gb_generate(ds, min_size=beta, split_log=log)
+    return balls, balls_to_microclusters(balls, ds), log
+
+
+def _pseudo_stage(ds: Dataset, nt, mode: str) -> PseudoClusterSet:
+    if mode == "single-cluster":
+        return _single_cluster_set(ds, compute_density(nt))
+    return build_pseudo_clusters(ds, nt.k, nt=nt)
+
+
 def run_pipeline(ds_raw: Dataset, cfg: RunConfig) -> ClusteringResult:
     """One clustering run; the dataset is normalized per the config."""
-    ds = normalize(ds_raw, cfg.normalization)
+    method = cfg.normalization
+    ds = _stage(ds_raw, ("normalize", method), lambda: normalize(ds_raw, method))
+    k = min(cfg.k, ds.n - 1)
     warnings: list[str] = []
     timings: dict[str, float] = {}
     clock = time.perf_counter
 
     t0 = clock()
     if cfg.algorithm == "sc":
-        adjacency = knn_adjacency(ds, min(cfg.k, ds.n - 1))
+        adjacency = _stage(ds_raw, "adjacency", lambda: knn_adjacency(ds, k), k)
         timings["construction"] = (clock() - t0) * 1e3
         timings["splitting"] = 0.0
         timings["similarity"] = 0.0
@@ -171,11 +256,9 @@ def run_pipeline(ds_raw: Dataset, cfg: RunConfig) -> ClusteringResult:
     report = SplitReport()
     ball_stats = None
     if cfg.algorithm == "gbsc":
-        gb_log: list[dict] = []
-        balls = gb_generate(ds, min_size=cfg.beta, split_log=gb_log)
-        pcs = balls_to_microclusters(balls, ds)
-        nt = compute_knn(ds, min(cfg.k, ds.n - 1))
-        report.records = gb_log
+        balls, pcs, gb_log = _stage(ds_raw, ("balls", cfg.beta), lambda: _ball_stage(ds, cfg.beta))
+        nt = _stage(ds_raw, "knn", lambda: compute_knn(ds, k), k)
+        report.records = list(gb_log)
         timings["construction"] = (clock() - t0) * 1e3
         timings["splitting"] = 0.0  # ball splitting happens inside construction
         n_star_initial = int(pcs.sizes().max())
@@ -184,11 +267,8 @@ def run_pipeline(ds_raw: Dataset, cfg: RunConfig) -> ClusteringResult:
             for b in balls
         ]
     else:
-        nt = compute_knn(ds, min(cfg.k, ds.n - 1))
-        if cfg.mode == "single-cluster":
-            pcs = _single_cluster_set(ds, compute_density(nt))
-        else:
-            pcs = build_pseudo_clusters(ds, nt.k, nt=nt)
+        nt = _stage(ds_raw, "knn", lambda: compute_knn(ds, k), k)
+        pcs = _stage(ds_raw, ("pseudo", cfg.mode), lambda: _pseudo_stage(ds, nt, cfg.mode), k)
         timings["construction"] = (clock() - t0) * 1e3
         t1 = clock()
         n_star_initial = int(pcs.sizes().max())

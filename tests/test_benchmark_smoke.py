@@ -40,3 +40,14 @@ def test_benchmark_workload_runs_correct(workload):
     result = json.loads(out.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_bench_pairs_compares_a_checkout_with_itself():
+    out = _run(
+        "scripts/bench_pairs.py", str(ROOT), str(ROOT), "--workload", "blobs-2k",
+        "--pairs", "1", "--seed", "1", "--seconds", "0",
+    )
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    rows = {line.split()[0]: line.split() for line in out.splitlines()[2:]}
+    assert set(rows) == {m["name"] for m in spec["end_to_end"]}
+    assert rows["ari"][1] == rows["ari"][4] == "1.0000"  # same labels on both sides

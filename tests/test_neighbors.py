@@ -6,6 +6,7 @@ import pytest
 
 from microclust import (
     Dataset,
+    PseudoClusterSet,
     build_pseudo_clusters,
     compute_density,
     compute_knn,
@@ -276,3 +277,28 @@ def test_partition_and_core_count_randomized():
         # deterministic rebuild
         again = build_pseudo_clusters(ds, k)
         np.testing.assert_array_equal(pcs.assignment, again.assignment)
+
+
+def _pcs(clusters, assignment):
+    clusters = [np.array(c, dtype=np.int64) for c in clusters]
+    m = len(clusters)
+    return PseudoClusterSet(clusters, np.array(assignment), np.zeros(m, np.int64), np.zeros((m, 1)))
+
+
+@pytest.mark.parametrize(
+    "clusters,assignment,message",
+    [
+        ([[0, 1], [1, 2]], [0, 0, 1], "do not partition"),  # duplicate member
+        ([[0, 1], [2]], [0, 0, 1, 1], "do not partition"),  # point 3 missing
+        ([[0, 1], [], [2]], [0, 0, 2], "cluster 1 is empty"),
+        ([[0], [1, 2], [3]], [0, 1, 2, 2], "assignment inconsistent for cluster 1"),
+        # the first defective cluster in id order is reported
+        ([[0], [], [1, 2]], [1, 0, 2], "assignment inconsistent for cluster 0"),
+        ([[0], [], [1, 2]], [0, 1, 0], "cluster 1 is empty"),
+    ],
+)
+def test_validate_reports_first_defect(clusters, assignment, message):
+    with pytest.raises(ValueError, match=message):
+        _pcs(clusters, assignment).validate()
+    _pcs([[0, 2], [1]], [0, 1, 0]).validate()
+

@@ -1,0 +1,192 @@
+"""run_sweep shares the seed-free stages of its cells and changes no result.
+
+Inside one ``run_sweep`` the normalized data, the k-NN table per k, the
+pseudo-clusters per (k, mode), the granular balls per beta and sc's k-NN
+adjacency per k are computed once; every other call computes each stage.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import microclust.cli as cli
+import microclust.pipeline as pipeline
+from microclust import NumericalError, RunConfig, generate_synthetic, run_pipeline, run_repeated
+
+CASES = [
+    ("mdmsc", "full"),
+    ("mdmsc", "single-cluster"),
+    ("mdmsc", "no-split"),
+    ("mdmsc", "compactness-only"),
+    ("gbsc", "full"),
+    ("sc", "full"),
+]
+
+
+@pytest.fixture(scope="module")
+def moons():
+    return generate_synthetic("moons", 60, 0.05, 0)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count the calls run_pipeline makes to its seed-free stages."""
+    counts = {}
+    stages = ("normalize", "compute_knn", "build_pseudo_clusters", "gb_generate", "knn_adjacency")
+    for name in stages:
+        original = getattr(pipeline, name)
+        counts[name] = 0
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, wrapper)
+    return counts
+
+
+def _observe(monkeypatch):
+    """(cfg, result or exception) for every run_pipeline call run_sweep makes."""
+    seen = []
+    original = cli.run_pipeline
+
+    def wrapper(ds, cfg):
+        try:
+            res = original(ds, cfg)
+        except (RuntimeError, ValueError) as exc:
+            seen.append((cfg, exc))
+            raise
+        seen.append((cfg, res))
+        return res
+
+    monkeypatch.setattr(cli, "run_pipeline", wrapper)
+    return seen
+
+
+def _without_timings(meta):
+    return {key: value for key, value in meta.items() if key != "timings_ms"}
+
+
+@pytest.mark.parametrize("algorithm,mode", CASES)
+def test_sweep_cells_equal_fresh_runs(moons, monkeypatch, algorithm, mode):
+    # The first cell of each mdmsc/gbsc sweep fails with too few
+    # micro-clusters; the cells after it must not see a poisoned memo.  k
+    # returns to 30 after 4, so a dropped entry is recomputed.
+    seen = _observe(monkeypatch)
+    cfg = RunConfig(algorithm=algorithm, mode=mode, n_clusters=3, runs=1, seed=3)
+    report = cli.run_sweep(moons, cfg, [30, 4, 30], [64, 6])
+    assert len(seen) == len(report["rows"]) == 6
+    if algorithm != "sc":
+        assert report["rows"][0]["failed"] and "micro-cluster" in report["rows"][0]["reason"]
+    assert not all(row["failed"] for row in report["rows"])
+    for cell_cfg, got in seen:
+        if isinstance(got, Exception):
+            with pytest.raises(type(got), match="micro-cluster") as fresh:
+                run_pipeline(moons, cell_cfg)
+            assert str(fresh.value) == str(got)
+            continue
+        fresh = run_pipeline(moons, cell_cfg)
+        for attr in ("point_labels", "micro_labels"):
+            a, b = getattr(got, attr), getattr(fresh, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert _without_timings(got.meta) == _without_timings(fresh.meta)
+
+
+@pytest.mark.parametrize("algorithm", ["mdmsc", "gbsc"])
+def test_sweep_computes_each_seed_free_stage_once(moons, counted, algorithm):
+    cfg = RunConfig(algorithm=algorithm, n_clusters=2, runs=1)
+    report = cli.run_sweep(moons, cfg, [2, 10, 18], [8, 16])
+    assert not any(row["failed"] for row in report["rows"])
+    assert counted["normalize"] == 1
+    assert counted["compute_knn"] == 3
+    if algorithm == "mdmsc":
+        assert counted["build_pseudo_clusters"] == 3
+    else:
+        assert counted["gb_generate"] == 2
+
+
+def test_sc_sweep_builds_one_adjacency_per_k(moons, counted):
+    cli.run_sweep(moons, RunConfig(algorithm="sc", n_clusters=2, runs=1), [5, 10], [8, 16])
+    assert counted["knn_adjacency"] == 2
+
+
+def test_calls_outside_a_sweep_compute_every_stage(moons, counted):
+    cfg = RunConfig(n_clusters=2, runs=1, k=10)
+    run_pipeline(moons, cfg)
+    run_pipeline(moons, cfg)
+    assert counted["compute_knn"] == counted["build_pseudo_clusters"] == counted["normalize"] == 2
+
+
+def test_run_repeated_computes_every_stage_per_seed(moons, counted):
+    # Sharing across seeds is left out until the benchmark stops keeping
+    # every pass's outcomes (ROADMAP item 1): the retained results would
+    # show up as peak memory.
+    run_repeated(moons, RunConfig(n_clusters=2, runs=3, k=10))
+    assert counted["compute_knn"] == counted["build_pseudo_clusters"] == counted["normalize"] == 3
+
+
+def test_scope_ends_with_the_sweep(moons, counted):
+    cfg = RunConfig(n_clusters=2, runs=1)
+    cli.run_sweep(moons, cfg, [10], [8, 16])
+    assert pipeline._MEMO.get() is None
+    assert counted["compute_knn"] == 1
+    run_pipeline(moons, replace(cfg, k=10))
+    assert counted["compute_knn"] == 2
+
+    with pytest.raises(NumericalError, match="every sweep configuration failed"):
+        cli.run_sweep(moons, replace(cfg, n_clusters=60), [10], [8])
+    assert pipeline._MEMO.get() is None
+
+
+def test_other_datasets_are_not_served_from_the_scope(moons, counted):
+    other = generate_synthetic("moons", 60, 0.05, 0)  # equal content, another object
+    cfg = RunConfig(n_clusters=2, runs=1, k=10)
+    with pipeline.shared_stages(moons):
+        run_pipeline(moons, cfg)
+        run_pipeline(other, cfg)
+        run_pipeline(moons, cfg)
+    assert counted["compute_knn"] == 2
+
+
+def test_memo_keeps_one_k_at_a_time():
+    memo = pipeline._StageMemo(None)
+    calls = []
+
+    def make(tag):
+        return lambda: calls.append(tag) or np.zeros(3)
+
+    memo.get("knn", make("knn2"), k=2)
+    memo.get("balls", make("balls8"))
+    memo.get("knn", make("knn2"), k=2)
+    memo.get("knn", make("knn10"), k=10)
+    memo.get("balls", make("balls8"))
+    assert calls == ["knn2", "balls8", "knn10"]
+    assert list(memo.per_k) == ["knn"] and memo.k == 10
+
+
+def test_shared_arrays_are_read_only(moons):
+    with pipeline.shared_stages(moons):
+        memo = pipeline._MEMO.get()
+        run_pipeline(moons, RunConfig(algorithm="gbsc", n_clusters=2, k=10, beta=8))
+        run_pipeline(moons, RunConfig(mode="no-split", n_clusters=2, k=10))
+        run_pipeline(moons, RunConfig(algorithm="sc", n_clusters=2, k=10))
+    balls, ball_pcs, _ = memo.fixed[("balls", 8)]
+    nt, pcs = memo.per_k["knn"], memo.per_k[("pseudo", "no-split")]
+    shared = [
+        memo.fixed[("normalize", "minmax")].points,
+        nt.indices,
+        nt.distances,
+        memo.per_k["adjacency"],
+        balls[0].members,
+        balls[0].center,
+        ball_pcs.assignment,
+        ball_pcs.clusters[0],
+        pcs.assignment,
+        pcs.cores,
+        pcs.centroids,
+        pcs.clusters[0],
+    ]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
