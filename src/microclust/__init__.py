@@ -44,7 +44,6 @@ from .spectral import (
     normalized_laplacian,
     plain_spectral_baseline,
     propagate_labels,
-    snn_similarity,
     spectral_cluster,
     spectral_embedding,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "run_pipeline",
     "run_repeated",
     "save_csv",
-    "snn_similarity",
     "spectral_cluster",
     "spectral_embedding",
     "split_all",

@@ -9,6 +9,7 @@ is larger than min_size.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,24 @@ def _make_ball(members: np.ndarray, dm: float, ds: Dataset) -> GranularBall:
     return GranularBall(members, center, radius, dm)
 
 
-def gb_generate(ds: Dataset, min_size: int = 8, split_log: list | None = None) -> list[GranularBall]:
+def _farthest_split(members: np.ndarray, ds: Dataset):
+    """A ball's split at its farthest pair: (child1, child2, dm1, dm2), or None if a child is empty.
+
+    Points go to the nearer seed; ties go to the lexicographically first one.
+    """
+    p1, p2 = farthest_pair(members, ds)
+    d1 = np.linalg.norm(ds.points[members] - ds.points[p1], axis=1)
+    d2 = np.linalg.norm(ds.points[members] - ds.points[p2], axis=1)
+    to_p1 = d1 <= d2
+    child1, child2 = members[to_p1], members[~to_p1]
+    if child1.size == 0 or child2.size == 0:
+        return None
+    return child1, child2, compactness_dm(child1, ds), compactness_dm(child2, ds)
+
+
+def gb_generate(
+    ds: Dataset, min_size: int = 8, split_log: list | None = None, splits: dict | None = None
+) -> list[GranularBall]:
     """Generate granular balls covering the dataset.
 
     Balls are processed FIFO; a ball splits iff the weighted child
@@ -70,28 +88,35 @@ def gb_generate(ds: Dataset, min_size: int = 8, split_log: list | None = None) -
     min_size points.  The optional split_log collects one record per
     accepted split.  Each ball's compactness is computed once, when it is
     made, and travels with it through the queue.
+
+    splits, when given, memoizes each ball's farthest-pair split by member
+    array (the bytes of its int64 values, in order): a ball it holds is not
+    searched again, and a new one is stored.  The split depends only on the
+    members and ds, so calls with another min_size on ds can share one memo.
     """
     if ds.n < 1:
         raise ValueError("empty dataset")
     if min_size < 2:
         raise ValueError("min_size must be >= 2")
     root = np.arange(ds.n, dtype=np.int64)
-    queue = [(root, compactness_dm(root, ds))]
+    queue = deque([(root, compactness_dm(root, ds))])
     balls: list[GranularBall] = []
     while queue:
-        members, dm_parent = queue.pop(0)
+        members, dm_parent = queue.popleft()
         if members.size <= min_size:
             balls.append(_make_ball(members, dm_parent, ds))
             continue
-        p1, p2 = farthest_pair(members, ds)
-        d1 = np.linalg.norm(ds.points[members] - ds.points[p1], axis=1)
-        d2 = np.linalg.norm(ds.points[members] - ds.points[p2], axis=1)
-        to_p1 = d1 <= d2  # ties go to the lexicographically first seed
-        child1, child2 = members[to_p1], members[~to_p1]
-        if child1.size == 0 or child2.size == 0:
+        if splits is None:
+            split = _farthest_split(members, ds)
+        else:
+            key = members.tobytes()
+            if key not in splits:
+                splits[key] = _farthest_split(members, ds)
+            split = splits[key]
+        if split is None:
             balls.append(_make_ball(members, dm_parent, ds))
             continue
-        dm1, dm2 = compactness_dm(child1, ds), compactness_dm(child2, ds)
+        child1, child2, dm1, dm2 = split
         dm_w = _weighted(child1.size, dm1, child2.size, dm2)
         if dm_w < dm_parent:
             if split_log is not None:

@@ -9,7 +9,9 @@ components as-is, "compactness-only" splits without the curvature gate.
 
 Inside ``shared_stages(ds)`` (``cli.run_sweep`` opens it) the stages that
 depend on neither the seed nor the split parameters run once per key and
-are shared by every ``run_pipeline`` call on that dataset object.
+are shared by every ``run_pipeline`` call on that dataset object.  So are
+the parts of splitting that beta only gates: the geometry of each candidate
+cluster (per k) and the farthest-pair split of each granular ball.
 """
 
 from __future__ import annotations
@@ -161,8 +163,9 @@ class _StageMemo:
     """Seed-free stage results of one dataset, made read-only when stored.
 
     Entries keyed by a neighbour count k are dropped as soon as another k is
-    asked for, so a sweep over k holds one k-NN table (or one sc adjacency)
-    at a time; the other entries (normalized data, balls per beta) stay.
+    asked for, so a sweep over k holds one k-NN table (or one sc adjacency),
+    with its pseudo-clusters and split geometry, at a time; the other
+    entries (normalized data, balls per beta, ball splits) stay.
     """
 
     def __init__(self, dataset: Dataset):
@@ -183,6 +186,14 @@ class _StageMemo:
             _freeze(value)
             table[key] = value
         return table[key]
+
+
+class _FrozenEntries(dict):
+    """A shared lookup table whose values are made read-only as they are stored."""
+
+    def __setitem__(self, key, value):
+        _freeze(value)
+        super().__setitem__(key, value)
 
 
 _MEMO: ContextVar[_StageMemo | None] = ContextVar("microclust_stage_memo", default=None)
@@ -210,9 +221,17 @@ def _stage(ds_raw: Dataset, key, compute, k: int | None = None):
     return memo.get(key, compute, k)
 
 
-def _ball_stage(ds: Dataset, beta: int):
+def _shared_table(ds_raw: Dataset, key, k: int | None = None) -> dict | None:
+    """An empty-at-first lookup table shared inside shared_stages(ds_raw); None elsewhere."""
+    memo = _MEMO.get()
+    if memo is None or memo.dataset is not ds_raw:
+        return None
+    return memo.get(key, _FrozenEntries, k)
+
+
+def _ball_stage(ds: Dataset, beta: int, splits: dict | None):
     log: list[dict] = []
-    balls = gb_generate(ds, min_size=beta, split_log=log)
+    balls = gb_generate(ds, min_size=beta, split_log=log, splits=splits)
     return balls, balls_to_microclusters(balls, ds), log
 
 
@@ -256,7 +275,10 @@ def run_pipeline(ds_raw: Dataset, cfg: RunConfig) -> ClusteringResult:
     report = SplitReport()
     ball_stats = None
     if cfg.algorithm == "gbsc":
-        balls, pcs, gb_log = _stage(ds_raw, ("balls", cfg.beta), lambda: _ball_stage(ds, cfg.beta))
+        splits = _shared_table(ds_raw, "ball_splits")
+        balls, pcs, gb_log = _stage(
+            ds_raw, ("balls", cfg.beta), lambda: _ball_stage(ds, cfg.beta, splits)
+        )
         nt = _stage(ds_raw, "knn", lambda: compute_knn(ds, k), k)
         report.records = list(gb_log)
         timings["construction"] = (clock() - t0) * 1e3
@@ -272,7 +294,8 @@ def run_pipeline(ds_raw: Dataset, cfg: RunConfig) -> ClusteringResult:
         timings["construction"] = (clock() - t0) * 1e3
         t1 = clock()
         n_star_initial = int(pcs.sizes().max())
-        pcs, report = split_all(pcs, ds, cfg.split_config())
+        geometry = _shared_table(ds_raw, "geometry", k)
+        pcs, report = split_all(pcs, ds, cfg.split_config(), geometry)
         timings["splitting"] = (clock() - t1) * 1e3
         warnings.extend(report.warnings)
 

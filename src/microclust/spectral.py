@@ -21,16 +21,6 @@ from .neighbors import NeighborTable, PseudoClusterSet, compute_knn
 DEGREE_EPS = 1e-12
 
 
-def snn_similarity(p_i: np.ndarray, p_j: np.ndarray, nt: NeighborTable, ds: Dataset) -> float:
-    """Shared-nearest-neighbor similarity between two disjoint clusters."""
-    union_i = np.unique(nt.indices[np.asarray(p_i, dtype=np.int64)])
-    union_j = np.unique(nt.indices[np.asarray(p_j, dtype=np.int64)])
-    shared = np.intersect1d(union_i, union_j, assume_unique=True).size
-    ci = ds.points[np.asarray(p_i, dtype=np.int64)].mean(axis=0)
-    cj = ds.points[np.asarray(p_j, dtype=np.int64)].mean(axis=0)
-    return float(shared / (1.0 + np.linalg.norm(ci - cj)))
-
-
 def build_similarity_matrix(pcs: PseudoClusterSet, nt: NeighborTable, ds: Dataset) -> np.ndarray:
     """Dense symmetric m x m similarity with zero diagonal.
 

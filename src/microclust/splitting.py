@@ -349,7 +349,29 @@ def default_max_rounds(n: int) -> int:
     return max(1, math.ceil(10 * math.log2(max(n, 2))))
 
 
-def split_all(pcs: PseudoClusterSet, ds: Dataset, cfg: SplitConfig):
+def _candidate_geometry(candidates, ds: Dataset, memo: dict | None) -> list[ClusterGeometry]:
+    """Geometry of (members, core, compactness or None) candidates, in one round_geometry call.
+
+    With a memo (member bytes -> geometry), only the candidates it lacks are
+    computed, and they are stored in it.
+    """
+
+    def compute(todo):
+        if not todo:
+            return []
+        dms = [compactness_dm(members, ds) if dm is None else dm for members, _, dm in todo]
+        return round_geometry([members for members, _, _ in todo], ds, dms)
+
+    if memo is None:
+        return compute(candidates)
+    keys = [members.tobytes() for members, _, _ in candidates]
+    missing = [j for j, key in enumerate(keys) if key not in memo]
+    for j, geom in zip(missing, compute([candidates[j] for j in missing])):
+        memo[keys[j]] = geom
+    return [memo[key] for key in keys]
+
+
+def split_all(pcs: PseudoClusterSet, ds: Dataset, cfg: SplitConfig, geometry: dict | None = None):
     """Split every splittable cluster to exhaustion (or the round cap).
 
     Each round computes the geometry of all its candidates (clusters larger
@@ -358,6 +380,12 @@ def split_all(pcs: PseudoClusterSet, ds: Dataset, cfg: SplitConfig):
     adopt their endpoint seed as core.  Each child's compactness is computed
     once, by split_once for its decision, and serves the split record and
     the child's dm in the next round.
+
+    geometry, when given, memoizes candidate geometry by member array (the
+    bytes of its int64 values, in order): a round computes only the
+    candidates it lacks and stores them.  The geometry depends on nothing
+    but the members and ds, so runs with another beta, lam or mode on the
+    same ds can share one memo.
     Returns the new partition and a SplitReport (one record per accepted
     split).
     """
@@ -382,11 +410,7 @@ def split_all(pcs: PseudoClusterSet, ds: Dataset, cfg: SplitConfig):
             i for i, (members, _, _) in enumerate(pending)
             if cfg.mode != "no-split" and members.size > cfg.beta and members.size >= 2
         ]
-        dms = [
-            compactness_dm(pending[i][0], ds) if pending[i][2] is None else pending[i][2]
-            for i in todo
-        ]
-        geoms = dict(zip(todo, round_geometry([pending[i][0] for i in todo], ds, dms)))
+        geoms = dict(zip(todo, _candidate_geometry([pending[i] for i in todo], ds, geometry)))
         next_pending = []
         for i, (members, core, _) in enumerate(pending):
             geom = geoms.get(i)

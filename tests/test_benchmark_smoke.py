@@ -51,3 +51,11 @@ def test_bench_pairs_compares_a_checkout_with_itself():
     rows = {line.split()[0]: line.split() for line in out.splitlines()[2:]}
     assert set(rows) == {m["name"] for m in spec["end_to_end"]}
     assert rows["ari"][1] == rows["ari"][4] == "1.0000"  # same labels on both sides
+
+
+def test_label_digest_hashes_every_benchmark_call():
+    out = _run("scripts/label_digest.py", str(ROOT), str(ROOT))
+    lines = [line.split() for line in out.splitlines()]
+    assert len(lines) == 2 and lines[0] == lines[1]  # exit status 0: equal digests
+    digest, calls = lines[0][:2]
+    assert len(digest) == 64 and int(calls) == 108

@@ -16,7 +16,6 @@ from microclust import (
     normalized_laplacian,
     plain_spectral_baseline,
     propagate_labels,
-    snn_similarity,
     spectral_cluster,
 )
 from microclust.neighbors import PseudoClusterSet
@@ -30,6 +29,21 @@ def _manual_clusters(ds, groups):
     centroids = np.vstack([ds.points[g].mean(axis=0) for g in clusters])
     cores = np.array([g[0] for g in clusters], dtype=np.int64)
     return PseudoClusterSet(clusters, assignment, cores, centroids)
+
+
+def snn_similarity(p_i, p_j, nt, ds):
+    """Shared-nearest-neighbor similarity between two disjoint clusters, pair by pair."""
+    union_i = np.unique(nt.indices[np.asarray(p_i, dtype=np.int64)])
+    union_j = np.unique(nt.indices[np.asarray(p_j, dtype=np.int64)])
+    shared = np.intersect1d(union_i, union_j, assume_unique=True).size
+    ci = ds.points[np.asarray(p_i, dtype=np.int64)].mean(axis=0)
+    cj = ds.points[np.asarray(p_j, dtype=np.int64)].mean(axis=0)
+    return float(shared / (1.0 + np.linalg.norm(ci - cj)))
+
+
+def _pair_similarity(ds, nt, groups):
+    """Entry (0, 1) of build_similarity_matrix on the partition into groups."""
+    return build_similarity_matrix(_manual_clusters(ds, groups), nt, ds)[0, 1]
 
 
 def brute_force_snn(p_i, p_j, nt, ds):
@@ -49,7 +63,7 @@ def test_snn_disjoint_unions_zero():
         np.array([[0.0, 0.0], [1.0, 0.0], [100.0, 0.0], [101.0, 0.0]])
     )
     nt = compute_knn(ds, 1)
-    assert snn_similarity([0, 1], [2, 3], nt, ds) == 0.0
+    assert _pair_similarity(ds, nt, [[0, 1], [2, 3]]) == 0.0
 
 
 def test_snn_known_value():
@@ -70,7 +84,7 @@ def test_snn_known_value():
     shared = union_i & union_j
     c_dist = np.linalg.norm(ds.points[p_i].mean(0) - ds.points[p_j].mean(0))
     expected = len(shared) / (1.0 + c_dist)
-    np.testing.assert_allclose(snn_similarity(p_i, p_j, nt, ds), expected)
+    np.testing.assert_allclose(_pair_similarity(ds, nt, [p_i, p_j, [6, 7, 8, 9]]), expected)
 
 
 def test_snn_monotone_in_centroid_distance():
@@ -82,7 +96,7 @@ def test_snn_monotone_in_centroid_distance():
         ds = Dataset(base * scale)
         nt = compute_knn(ds, 2)
         np.testing.assert_array_equal(nt.indices, compute_knn(Dataset(base), 2).indices)
-        values.append(snn_similarity([0, 1], [2, 3], nt, ds))
+        values.append(_pair_similarity(ds, nt, [[0, 1], [2, 3]]))
     assert values[0] > values[1] > 0
 
 

@@ -2,16 +2,21 @@
 
 Inside one ``run_sweep`` the normalized data, the k-NN table per k, the
 pseudo-clusters per (k, mode), the granular balls per beta and sc's k-NN
-adjacency per k are computed once; every other call computes each stage.
+adjacency per k are computed once, and so are the split geometry of each
+candidate cluster per k and the farthest-pair split of each granular ball;
+every other call computes each stage.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import microclust.cli as cli
+import microclust.granular as granular
 import microclust.pipeline as pipeline
+import microclust.splitting as splitting
 from microclust import NumericalError, RunConfig, generate_synthetic, run_pipeline, run_repeated
 
 CASES = [
@@ -68,29 +73,44 @@ def _without_timings(meta):
     return {key: value for key, value in meta.items() if key != "timings_ms"}
 
 
-@pytest.mark.parametrize("algorithm,mode", CASES)
-def test_sweep_cells_equal_fresh_runs(moons, monkeypatch, algorithm, mode):
-    # The first cell of each mdmsc/gbsc sweep fails with too few
-    # micro-clusters; the cells after it must not see a poisoned memo.  k
-    # returns to 30 after 4, so a dropped entry is recomputed.
+def _sweep_equals_fresh_runs(ds, monkeypatch, algorithm, mode, betas):
+    """run_sweep at k = 30, 4, 30 over betas; every cell must equal a fresh run.
+
+    k returns to 30 after 4, so a dropped entry is recomputed.
+    """
     seen = _observe(monkeypatch)
     cfg = RunConfig(algorithm=algorithm, mode=mode, n_clusters=3, runs=1, seed=3)
-    report = cli.run_sweep(moons, cfg, [30, 4, 30], [64, 6])
-    assert len(seen) == len(report["rows"]) == 6
-    if algorithm != "sc":
-        assert report["rows"][0]["failed"] and "micro-cluster" in report["rows"][0]["reason"]
+    report = cli.run_sweep(ds, cfg, [30, 4, 30], betas)
+    assert len(seen) == len(report["rows"]) == 3 * len(betas)
     assert not all(row["failed"] for row in report["rows"])
     for cell_cfg, got in seen:
         if isinstance(got, Exception):
             with pytest.raises(type(got), match="micro-cluster") as fresh:
-                run_pipeline(moons, cell_cfg)
+                run_pipeline(ds, cell_cfg)
             assert str(fresh.value) == str(got)
             continue
-        fresh = run_pipeline(moons, cell_cfg)
+        fresh = run_pipeline(ds, cell_cfg)
         for attr in ("point_labels", "micro_labels"):
             a, b = getattr(got, attr), getattr(fresh, attr)
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert _without_timings(got.meta) == _without_timings(fresh.meta)
+    return report
+
+
+@pytest.mark.parametrize("algorithm,mode", CASES)
+def test_sweep_cells_equal_fresh_runs(moons, monkeypatch, algorithm, mode):
+    # The first cell of each mdmsc/gbsc sweep fails with too few
+    # micro-clusters; the cells after it must not see a poisoned memo.
+    report = _sweep_equals_fresh_runs(moons, monkeypatch, algorithm, mode, [64, 6])
+    if algorithm != "sc":
+        assert report["rows"][0]["failed"] and "micro-cluster" in report["rows"][0]["reason"]
+
+
+@pytest.mark.parametrize("algorithm,mode", CASES)
+def test_sweep_cells_equal_fresh_runs_for_ascending_beta(moons, monkeypatch, algorithm, mode):
+    # A small beta first fills the split memos with clusters that the
+    # larger beta never reaches.
+    _sweep_equals_fresh_runs(moons, monkeypatch, algorithm, mode, [6, 64])
 
 
 @pytest.mark.parametrize("algorithm", ["mdmsc", "gbsc"])
@@ -190,3 +210,101 @@ def test_shared_arrays_are_read_only(moons):
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
+
+
+def _count_split_work(monkeypatch, module, name, members_of):
+    """(k of the running cell, member bytes) for every set reaching module.name."""
+    seen = []
+    k_now = []
+    original_cell = cli.run_pipeline
+
+    def cell(ds, cfg):
+        k_now.append(cfg.k)
+        return original_cell(ds, cfg)
+
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        seen.extend((k_now[-1] if k_now else None, m.tobytes()) for m in members_of(args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_pipeline", cell)
+    monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
+@pytest.mark.parametrize("mode", ["full", "compactness-only"])
+def test_sweep_computes_each_candidate_geometry_once_per_k(moons, monkeypatch, mode):
+    seen = _count_split_work(
+        monkeypatch, splitting, "round_geometry",
+        lambda args: [np.asarray(c, dtype=np.int64) for c in args[0]],
+    )
+    cfg = RunConfig(mode=mode, n_clusters=2, runs=1)
+    report = cli.run_sweep(moons, cfg, [10, 30], [4, 8, 16])
+    assert not any(row["failed"] for row in report["rows"])
+    shared = Counter(seen)
+    assert shared and set(shared.values()) == {1}
+
+    # A fresh run per cell reaches the same member sets, some of them more than once.
+    seen.clear()
+    for k in (10, 30):
+        for beta in (4, 8, 16):
+            run_pipeline(moons, replace(cfg, k=k, beta=beta))
+    assert set(Counter(member for _, member in seen)) == {member for _, member in shared}
+    assert len(seen) > len(shared)
+
+
+def test_larger_beta_after_smaller_makes_no_geometry_call(moons, monkeypatch):
+    calls = []
+    original = splitting.round_geometry
+    monkeypatch.setattr(
+        splitting, "round_geometry", lambda *a, **kw: calls.append(a[0]) or original(*a, **kw)
+    )
+    cfg = RunConfig(n_clusters=2, runs=1, k=30)
+    with pipeline.shared_stages(moons):
+        run_pipeline(moons, replace(cfg, beta=8))
+        assert calls
+        calls.clear()
+        res = run_pipeline(moons, replace(cfg, beta=16))
+    assert res.meta["split_records"]  # beta = 16 still splits, from shared geometry
+    assert calls == []
+
+
+def test_sweep_searches_each_ball_once_across_beta(moons, monkeypatch):
+    seen = _count_split_work(monkeypatch, granular, "farthest_pair", lambda args: [args[0]])
+    cfg = RunConfig(algorithm="gbsc", n_clusters=2, runs=1)
+    report = cli.run_sweep(moons, cfg, [2, 10], [4, 8, 16])
+    assert not any(row["failed"] for row in report["rows"])
+    searched = Counter(member for _, member in seen)
+    assert searched and set(searched.values()) == {1}
+
+
+def test_calls_outside_a_sweep_share_no_split_work(moons, monkeypatch):
+    passed = []
+    for name, arg in (("split_all", "geometry"), ("gb_generate", "splits")):
+        original = getattr(pipeline, name)
+
+        def wrapper(*args, _original=original, _arg=arg, **kwargs):
+            passed.append(kwargs.get(_arg, args[3] if len(args) > 3 else None))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, wrapper)
+    run_pipeline(moons, RunConfig(n_clusters=2, k=30))
+    run_pipeline(moons, RunConfig(algorithm="gbsc", n_clusters=2, k=30))
+    assert passed == [None, None]
+
+
+def test_shared_split_work_is_read_only(moons):
+    with pipeline.shared_stages(moons):
+        memo = pipeline._MEMO.get()
+        run_pipeline(moons, RunConfig(n_clusters=2, k=30))
+        run_pipeline(moons, RunConfig(algorithm="gbsc", n_clusters=2, k=30))
+    geometry = list(memo.per_k["geometry"].values())
+    splits = [s for s in memo.fixed["ball_splits"].values() if s is not None]
+    assert geometry and splits
+    arrays = [a for g in geometry for a in (g.mst_edges, g.mst_weights)]
+    arrays += [child for s in splits for child in s[:2]]
+    for array in arrays:
+        if array.size:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
