@@ -7,6 +7,9 @@ its blocks' spectra.  The name is kept from the cyclic Jacobi it replaced,
 because the public API, the tests and the benchmark's tracer and checks reach
 the solver by it.  The contract is unchanged: the full spectrum in ascending
 order, with deterministically signed eigenvectors.
+
+``kmeans`` runs Lloyd restarts that stop early, with the same result, once
+they reach a labelling an earlier restart of the same call converged to.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ from scipy.sparse.csgraph import connected_components
 # on last-digit rounding of the embedding.
 INERTIA_RTOL = 1e-9
 
+# Cap on the (rows, k, d) broadcast temporary of one Lloyd distance step; rows
+# are independent, so computing them in chunks changes no bit.
+LLOYD_CHUNK_BYTES = 32 << 20
+
 
 class NumericalError(RuntimeError):
     """Clustering failure with diagnostics."""
@@ -29,6 +36,22 @@ def _max_asymmetry(a: np.ndarray) -> float:
     """max |a - a.T|, with one m x m temporary (np.allclose makes several)."""
     diff = a - a.T
     return float(np.abs(diff, out=diff).max())
+
+
+def _pattern_components(a: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of the nonzero pattern of a square matrix.
+
+    The same count and labels as ``connected_components(csr_matrix(a != 0),
+    directed=False)``, with the CSR built straight from ``np.nonzero`` instead
+    of through a dense boolean copy.  NaN counts as nonzero, -0.0 as zero.
+    """
+    m = a.shape[0]
+    rows, cols = np.nonzero(a)
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    graph = csr_matrix((np.ones(cols.size), cols, indptr), shape=(m, m))
+    n_comp, labels = connected_components(graph, directed=False)
+    return int(n_comp), labels
 
 
 def jacobi_eigh(matrix: np.ndarray):
@@ -48,7 +71,7 @@ def jacobi_eigh(matrix: np.ndarray):
     if not np.isfinite(a).all() or _max_asymmetry(a) > 1e-12:
         raise ValueError("matrix must be finite and symmetric")
     m = a.shape[0]
-    n_blocks, block_of = connected_components(csr_matrix(a != 0), directed=False)
+    n_blocks, block_of = _pattern_components(a)
     blocks = np.split(np.argsort(block_of, kind="stable"), np.cumsum(np.bincount(block_of))[:-1])
     solved = []
     for idx in blocks:
@@ -73,7 +96,8 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     n = x.shape[0]
     centers = np.empty(k, dtype=np.int64)
     centers[0] = rng.integers(n)
-    d2 = np.einsum("ij,ij->i", x - x[centers[0]], x - x[centers[0]])
+    diff = x - x[centers[0]]
+    d2 = np.einsum("ij,ij->i", diff, diff)
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -84,16 +108,37 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
             used = np.zeros(n, dtype=bool)
             used[centers[:j]] = True
             centers[j] = int(np.flatnonzero(~used)[0])
-        dj = np.einsum("ij,ij->i", x - x[centers[j]], x - x[centers[j]])
-        np.minimum(d2, dj, out=d2)
+        if j + 1 < k:
+            diff = x - x[centers[j]]
+            np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
     return centers
 
 
-def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int):
+def _sq_distances(x: np.ndarray, centers: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i, j] = ||x_i - c_j||^2, in row chunks of at most LLOYD_CHUNK_BYTES."""
+    step = max(1, LLOYD_CHUNK_BYTES // (8 * centers.size))
+    for lo in range(0, x.shape[0], step):
+        diff = x[lo : lo + step, None, :] - centers[None, :, :]
+        np.square(diff, out=diff)
+        diff.sum(axis=2, out=out[lo : lo + step])
+    return out
+
+
+def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int, optima: dict):
+    """Lloyd iterations from centers (updated in place); returns (labels, inertia).
+
+    optima maps the label bytes of every earlier restart of the same call
+    that converged to its (labels, inertia).  Centres depend on the labels
+    only, so a restart whose labels, after the empty-cluster repair, reach
+    one of them would end on that restart's result: it returns it at once.
+    A restart that converges adds its own entry.
+    """
     n, k = x.shape[0], centers.shape[0]
     labels = np.full(n, -1, dtype=np.int64)
+    d2 = np.empty((n, k))
+    converged = False
     for _ in range(max_iter):
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        _sq_distances(x, centers, d2)
         new_labels = np.argmin(d2, axis=1)
         counts = np.bincount(new_labels, minlength=k)
         # Repair empty clusters: steal the farthest point from the largest one.
@@ -105,12 +150,21 @@ def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int):
             new_labels[far] = empty
             counts = np.bincount(new_labels, minlength=k)
         if (new_labels == labels).all():
+            converged = True
             break
+        if optima:
+            known = optima.get(new_labels.tobytes())
+            if known is not None:
+                return known
         labels = new_labels
         for j in range(k):
-            centers[j] = x[labels == j].mean(axis=0)
-    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            # The bits of x[labels == j].mean(axis=0), without its wrapper.
+            centers[j] = np.add.reduce(x[labels == j], axis=0) / counts[j]
+    if not converged:
+        _sq_distances(x, centers, d2)  # d2 is from the centres before the last update
     inertia = float(d2[np.arange(n), labels].sum())
+    if converged:
+        optima[labels.tobytes()] = (labels, inertia)
     return labels, inertia
 
 
@@ -119,7 +173,9 @@ def kmeans(x: np.ndarray, n_clusters: int, seed: int, n_restarts: int = 10, max_
 
     Restart r uses the generator seeded with (seed, r), so results are
     reproducible and restarts could run in parallel.  A later restart wins
-    only when its inertia is lower by more than INERTIA_RTOL.  Returns
+    only when its inertia is lower by more than INERTIA_RTOL.  A restart
+    that reaches a labelling an earlier one converged to stops there with
+    that restart's result, which it would have ended on anyway.  Returns
     (labels, inertia) with int32 labels.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -127,10 +183,11 @@ def kmeans(x: np.ndarray, n_clusters: int, seed: int, n_restarts: int = 10, max_
     if not 1 <= n_clusters <= n:
         raise ValueError(f"n_clusters must be in [1, {n}], got {n_clusters}")
     best_labels, best_inertia = None, np.inf
+    optima: dict = {}
     for r in range(n_restarts):
         rng = np.random.default_rng([seed, r])
         centers = x[_kmeans_pp_init(x, n_clusters, rng)].copy()
-        labels, inertia = _lloyd(x, centers, max_iter)
+        labels, inertia = _lloyd(x, centers, max_iter, optima)
         if inertia < best_inertia * (1.0 - INERTIA_RTOL):
             best_labels, best_inertia = labels, inertia
         if best_inertia == 0.0:

@@ -11,7 +11,8 @@ Inside ``shared_stages(ds)`` (``cli.run_sweep`` opens it) the stages that
 depend on neither the seed nor the split parameters run once per key and
 are shared by every ``run_pipeline`` call on that dataset object.  So are
 the parts of splitting that beta only gates: the geometry of each candidate
-cluster (per k) and the farthest-pair split of each granular ball.
+cluster (per k) and the farthest-pair split of each granular ball.  Every
+entry is keyed by the normalization it was computed under.
 """
 
 from __future__ import annotations
@@ -252,7 +253,7 @@ def run_pipeline(ds_raw: Dataset, cfg: RunConfig) -> ClusteringResult:
 
     t0 = clock()
     if cfg.algorithm == "sc":
-        adjacency = _stage(ds_raw, "adjacency", lambda: knn_adjacency(ds, k), k)
+        adjacency = _stage(ds_raw, ("adjacency", method), lambda: knn_adjacency(ds, k), k)
         timings["construction"] = (clock() - t0) * 1e3
         timings["splitting"] = 0.0
         timings["similarity"] = 0.0
@@ -275,11 +276,11 @@ def run_pipeline(ds_raw: Dataset, cfg: RunConfig) -> ClusteringResult:
     report = SplitReport()
     ball_stats = None
     if cfg.algorithm == "gbsc":
-        splits = _shared_table(ds_raw, "ball_splits")
+        splits = _shared_table(ds_raw, ("ball_splits", method))
         balls, pcs, gb_log = _stage(
-            ds_raw, ("balls", cfg.beta), lambda: _ball_stage(ds, cfg.beta, splits)
+            ds_raw, ("balls", method, cfg.beta), lambda: _ball_stage(ds, cfg.beta, splits)
         )
-        nt = _stage(ds_raw, "knn", lambda: compute_knn(ds, k), k)
+        nt = _stage(ds_raw, ("knn", method), lambda: compute_knn(ds, k), k)
         report.records = list(gb_log)
         timings["construction"] = (clock() - t0) * 1e3
         timings["splitting"] = 0.0  # ball splitting happens inside construction
@@ -289,12 +290,14 @@ def run_pipeline(ds_raw: Dataset, cfg: RunConfig) -> ClusteringResult:
             for b in balls
         ]
     else:
-        nt = _stage(ds_raw, "knn", lambda: compute_knn(ds, k), k)
-        pcs = _stage(ds_raw, ("pseudo", cfg.mode), lambda: _pseudo_stage(ds, nt, cfg.mode), k)
+        nt = _stage(ds_raw, ("knn", method), lambda: compute_knn(ds, k), k)
+        pcs = _stage(
+            ds_raw, ("pseudo", method, cfg.mode), lambda: _pseudo_stage(ds, nt, cfg.mode), k
+        )
         timings["construction"] = (clock() - t0) * 1e3
         t1 = clock()
         n_star_initial = int(pcs.sizes().max())
-        geometry = _shared_table(ds_raw, "geometry", k)
+        geometry = _shared_table(ds_raw, ("geometry", method), k)
         pcs, report = split_all(pcs, ds, cfg.split_config(), geometry)
         timings["splitting"] = (clock() - t1) * 1e3
         warnings.extend(report.warnings)

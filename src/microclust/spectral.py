@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 from .data import Dataset
-from .linalg import jacobi_eigh, kmeans
+from .linalg import _pattern_components, jacobi_eigh, kmeans
 from .neighbors import NeighborTable, PseudoClusterSet, compute_knn
 
 DEGREE_EPS = 1e-12
@@ -45,8 +44,7 @@ def build_similarity_matrix(pcs: PseudoClusterSet, nt: NeighborTable, ds: Datase
 
 def count_graph_components(s: np.ndarray) -> int:
     """Connected components of the nonzero pattern of a similarity matrix."""
-    n_comp, _ = connected_components(csr_matrix(s != 0), directed=False)
-    return int(n_comp)
+    return _pattern_components(s)[0]
 
 
 def normalized_laplacian(s: np.ndarray) -> np.ndarray:

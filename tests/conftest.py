@@ -187,3 +187,65 @@ def brute_force_ari(pred, truth) -> float:
 
 def dense_distances(points: np.ndarray) -> np.ndarray:
     return cdist(points, points)
+
+
+def _reference_kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = x.shape[0]
+    centers = np.empty(k, dtype=np.int64)
+    centers[0] = rng.integers(n)
+    d2 = np.einsum("ij,ij->i", x - x[centers[0]], x - x[centers[0]])
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            centers[j] = rng.choice(n, p=d2 / total)
+        else:
+            used = np.zeros(n, dtype=bool)
+            used[centers[:j]] = True
+            centers[j] = int(np.flatnonzero(~used)[0])
+        dj = np.einsum("ij,ij->i", x - x[centers[j]], x - x[centers[j]])
+        np.minimum(d2, dj, out=d2)
+    return centers
+
+
+def _reference_lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int):
+    n, k = x.shape[0], centers.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    for _ in range(max_iter):
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        while (counts == 0).any():
+            empty = int(np.flatnonzero(counts == 0)[0])
+            donor = int(np.argmax(counts))
+            members = np.flatnonzero(new_labels == donor)
+            far = members[int(np.argmax(d2[members, donor]))]
+            new_labels[far] = empty
+            counts = np.bincount(new_labels, minlength=k)
+        if (new_labels == labels).all():
+            break
+        labels = new_labels
+        for j in range(k):
+            centers[j] = x[labels == j].mean(axis=0)
+    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return labels, float(d2[np.arange(n), labels].sum())
+
+
+def reference_kmeans(x, n_clusters: int, seed: int, n_restarts: int = 10, max_iter: int = 300):
+    """k-means as one full Lloyd run per restart, with nothing shared between restarts.
+
+    Restart r seeds k-means++ from the generator (seed, r), runs Lloyd to
+    convergence or max_iter on one broadcast distance array per step, and
+    keeps the earliest restart within a relative 1e-9 of the best inertia;
+    it stops after a restart with inertia 0.  Returns (int32 labels, inertia).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    best_labels, best_inertia = None, np.inf
+    for r in range(n_restarts):
+        rng = np.random.default_rng([seed, r])
+        centers = x[_reference_kmeans_pp_init(x, n_clusters, rng)].copy()
+        labels, inertia = _reference_lloyd(x, centers, max_iter)
+        if inertia < best_inertia * (1.0 - 1e-9):
+            best_labels, best_inertia = labels, inertia
+        if best_inertia == 0.0:
+            break
+    return best_labels.astype(np.int32), best_inertia

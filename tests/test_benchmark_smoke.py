@@ -59,3 +59,13 @@ def test_label_digest_hashes_every_benchmark_call():
     assert len(lines) == 2 and lines[0] == lines[1]  # exit status 0: equal digests
     digest, calls = lines[0][:2]
     assert len(digest) == 64 and int(calls) == 108
+
+
+def test_output_digest_hashes_every_cli_call_without_writing_into_the_checkout():
+    before = sorted(p for p in ROOT.rglob("*") if ".git" not in p.parts)
+    out = _run("scripts/output_digest.py", str(ROOT), str(ROOT))
+    lines = [line.split() for line in out.splitlines()]
+    assert len(lines) == 2 and lines[0] == lines[1]  # exit status 0: equal digests
+    digest, calls = lines[0][:2]
+    assert len(digest) == 64 and int(calls) == 12
+    assert sorted(p for p in ROOT.rglob("*") if ".git" not in p.parts) == before

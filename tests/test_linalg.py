@@ -2,10 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import reference_kmeans
 from scipy.linalg import eigh as oracle_eigh
 from scipy.linalg import subspace_angles
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from microclust import jacobi_eigh, kmeans
+from microclust import jacobi_eigh, kmeans, linalg
 
 # The oracle is scipy's LAPACK copy with the QR driver (dsyev); jacobi_eigh
 # ships numpy's copy with divide-and-conquer (dsyevd).
@@ -205,3 +208,92 @@ def test_kmeans_duplicate_points():
 def test_kmeans_validates_cluster_count():
     with pytest.raises(ValueError):
         kmeans(np.zeros((3, 2)), 4, seed=0)
+
+
+def _assert_same_kmeans(x, n_clusters, seed, **kwargs):
+    labels, inertia = kmeans(x, n_clusters, seed, **kwargs)
+    want_labels, want_inertia = reference_kmeans(x, n_clusters, seed, **kwargs)
+    assert labels.dtype == want_labels.dtype and np.array_equal(labels, want_labels)
+    assert inertia == want_inertia
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_kmeans_matches_reference_bit_for_bit(d):
+    rng = np.random.default_rng(20 + d)
+    for seed in range(40):
+        n = int(rng.integers(2, 70))
+        x = rng.standard_normal((n, d))
+        if seed % 3 == 1:
+            x /= np.linalg.norm(x, axis=1, keepdims=True)  # spectral-embedding rows
+        _assert_same_kmeans(x, int(rng.integers(1, min(n, 8) + 1)), seed)
+
+
+def test_kmeans_matches_reference_on_grids_and_duplicates():
+    # Rounded and repeated points make empty clusters, so the repair runs.
+    rng = np.random.default_rng(31)
+    for seed in range(40):
+        n = int(rng.integers(3, 60))
+        x = np.round(rng.standard_normal((n, 2)) * 1.5) / 1.5
+        if seed % 2:
+            x = x[rng.integers(0, max(1, n // 4), n)]
+        _assert_same_kmeans(x, int(rng.integers(2, min(n, 9) + 1)), seed)
+    _assert_same_kmeans(np.zeros((10, 2)), 3, 0)
+
+
+def test_kmeans_matches_reference_at_c_equals_n_and_small_iteration_caps():
+    rng = np.random.default_rng(32)
+    for seed in range(20):
+        n = int(rng.integers(1, 12))
+        _assert_same_kmeans(rng.standard_normal((n, 2)), n, seed)
+    for seed in range(20):
+        x = np.round(rng.standard_normal((50, 3)), 1)
+        for max_iter in (1, 2, 3):
+            _assert_same_kmeans(x, 6, seed, max_iter=max_iter)
+
+
+def test_kmeans_distance_chunks_change_no_bit(monkeypatch):
+    monkeypatch.setattr(linalg, "LLOYD_CHUNK_BYTES", 8 * 5 * 2 * 3)  # three rows per chunk
+    rng = np.random.default_rng(33)
+    for seed in range(10):
+        _assert_same_kmeans(rng.standard_normal((41, 2)), 5, seed)
+
+
+def test_lloyd_returns_a_known_optimum_without_updating_centers():
+    x = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
+    optima = {}
+    first = linalg._lloyd(x, x[[0, 2]].copy(), 300, optima)
+    assert list(optima) == [first[0].tobytes()]
+    # Other starting centres that label the points the same way.
+    start = np.array([[1.0, 0.2], [9.0, 0.8]])
+    centers = start.copy()
+    second = linalg._lloyd(x, centers, 300, optima)
+    assert second is optima[first[0].tobytes()]
+    np.testing.assert_array_equal(centers, start)  # no centre update
+    # Without the entry the same start updates its centres and ends identically.
+    labels, inertia = linalg._lloyd(x, centers, 300, {})
+    assert np.array_equal(labels, first[0]) and inertia == first[1]
+    assert not np.array_equal(centers, start)
+
+
+def _scipy_components(a):
+    n_comp, labels = connected_components(csr_matrix(a != 0), directed=False)
+    return n_comp, labels
+
+
+def test_pattern_components_match_scipy_on_the_dense_pattern():
+    rng = np.random.default_rng(34)
+    for trial in range(60):
+        m = int(rng.integers(1, 40))
+        a = rng.random((m, m)) * (rng.random((m, m)) < rng.uniform(0.0, 0.15))
+        if trial % 2:
+            a = a + a.T  # symmetric; odd trials keep one-way entries
+        isolated = rng.random(m) < 0.2
+        a[isolated] = 0.0
+        a[:, isolated] = 0.0
+        a[rng.random((m, m)) < 0.05] = -0.0  # counts as zero
+        a[rng.random((m, m)) < 0.02] = np.nan  # counts as nonzero
+        n_comp, labels = linalg._pattern_components(a)
+        want_n, want_labels = _scipy_components(a)
+        assert n_comp == want_n and np.array_equal(labels, want_labels)
+    assert linalg._pattern_components(np.zeros((3, 3)))[0] == 3
+    assert linalg._pattern_components(np.array([[-0.0, np.nan], [0.0, 0.0]]))[0] == 1

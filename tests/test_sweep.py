@@ -17,7 +17,14 @@ import microclust.cli as cli
 import microclust.granular as granular
 import microclust.pipeline as pipeline
 import microclust.splitting as splitting
-from microclust import NumericalError, RunConfig, generate_synthetic, run_pipeline, run_repeated
+from microclust import (
+    Dataset,
+    NumericalError,
+    RunConfig,
+    generate_synthetic,
+    run_pipeline,
+    run_repeated,
+)
 
 CASES = [
     ("mdmsc", "full"),
@@ -169,6 +176,23 @@ def test_other_datasets_are_not_served_from_the_scope(moons, counted):
     assert counted["compute_knn"] == 2
 
 
+@pytest.mark.parametrize("algorithm", ["mdmsc", "gbsc", "sc"])
+def test_scope_keeps_each_normalization_apart(algorithm):
+    # y stretched 30x: min-max and z-score scale the two axes differently,
+    # so every stage after normalization differs between them.
+    base = generate_synthetic("moons", 60, 0.05, 0)
+    ds = Dataset(base.points * np.array([1.0, 30.0]), base.labels)
+    minmax = RunConfig(algorithm=algorithm, n_clusters=2, runs=1, k=10)
+    zscore = replace(minmax, normalization="zscore")
+    fresh = run_pipeline(ds, zscore)
+    with pipeline.shared_stages(ds):
+        run_pipeline(ds, minmax)
+        got = run_pipeline(ds, zscore)
+    assert got.meta["m"] == fresh.meta["m"]
+    assert np.array_equal(got.point_labels, fresh.point_labels)
+    assert _without_timings(got.meta) == _without_timings(fresh.meta)
+
+
 def test_memo_keeps_one_k_at_a_time():
     memo = pipeline._StageMemo(None)
     calls = []
@@ -191,13 +215,13 @@ def test_shared_arrays_are_read_only(moons):
         run_pipeline(moons, RunConfig(algorithm="gbsc", n_clusters=2, k=10, beta=8))
         run_pipeline(moons, RunConfig(mode="no-split", n_clusters=2, k=10))
         run_pipeline(moons, RunConfig(algorithm="sc", n_clusters=2, k=10))
-    balls, ball_pcs, _ = memo.fixed[("balls", 8)]
-    nt, pcs = memo.per_k["knn"], memo.per_k[("pseudo", "no-split")]
+    balls, ball_pcs, _ = memo.fixed[("balls", "minmax", 8)]
+    nt, pcs = memo.per_k[("knn", "minmax")], memo.per_k[("pseudo", "minmax", "no-split")]
     shared = [
         memo.fixed[("normalize", "minmax")].points,
         nt.indices,
         nt.distances,
-        memo.per_k["adjacency"],
+        memo.per_k[("adjacency", "minmax")],
         balls[0].members,
         balls[0].center,
         ball_pcs.assignment,
@@ -299,8 +323,8 @@ def test_shared_split_work_is_read_only(moons):
         memo = pipeline._MEMO.get()
         run_pipeline(moons, RunConfig(n_clusters=2, k=30))
         run_pipeline(moons, RunConfig(algorithm="gbsc", n_clusters=2, k=30))
-    geometry = list(memo.per_k["geometry"].values())
-    splits = [s for s in memo.fixed["ball_splits"].values() if s is not None]
+    geometry = list(memo.per_k[("geometry", "minmax")].values())
+    splits = [s for s in memo.fixed[("ball_splits", "minmax")].values() if s is not None]
     assert geometry and splits
     arrays = [a for g in geometry for a in (g.mst_edges, g.mst_weights)]
     arrays += [child for s in splits for child in s[:2]]
