@@ -3,9 +3,10 @@
 The main pipeline coarsens a dataset into pseudo-clusters built from local
 density structure, splits the curved ones until they are nearly convex, and
 runs normalized-cut spectral clustering on a shared-nearest-neighbor
-similarity graph over the micro-clusters.  A granular-ball baseline and a
-plain spectral baseline share the same spectral stage, and ARI/NMI/ACC
-metrics are included for evaluation.
+similarity graph over the micro-clusters.  A granular-ball baseline and
+spectral clustering on the point-level k-NN graph (``run_pipeline`` with
+algorithm "sc") share the same spectral stage, and ARI/NMI/ACC metrics are
+included for evaluation.
 """
 
 from .data import (
@@ -42,7 +43,6 @@ from .spectral import (
     build_similarity_matrix,
     knn_adjacency,
     normalized_laplacian,
-    plain_spectral_baseline,
     propagate_labels,
     spectral_cluster,
     spectral_embedding,
@@ -51,15 +51,11 @@ from .splitting import (
     ClusterGeometry,
     SplitConfig,
     SplitReport,
-    build_mst,
     cluster_geometry,
     compactness_dm,
-    find_endpoints,
-    manifold_curvature,
     round_geometry,
     split_all,
     split_once,
-    weighted_dm,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +78,6 @@ __all__ = [
     "acc",
     "ari",
     "balls_to_microclusters",
-    "build_mst",
     "build_pseudo_clusters",
     "build_similarity_matrix",
     "cluster_geometry",
@@ -92,14 +87,12 @@ __all__ = [
     "compute_leaders",
     "contingency_table",
     "farthest_pair",
-    "find_endpoints",
     "gb_generate",
     "generate_synthetic",
     "jacobi_eigh",
     "kmeans",
     "knn_adjacency",
     "load_csv",
-    "manifold_curvature",
     "metrics_report",
     "micro_cluster_dump",
     "nmi",
@@ -107,7 +100,6 @@ __all__ = [
     "normalize_minmax",
     "normalize_zscore",
     "normalized_laplacian",
-    "plain_spectral_baseline",
     "propagate_labels",
     "round_geometry",
     "run_pipeline",
@@ -117,5 +109,4 @@ __all__ = [
     "spectral_embedding",
     "split_all",
     "split_once",
-    "weighted_dm",
 ]

@@ -55,7 +55,10 @@ def load_dataset_spec(spec: str, labels_col=None) -> Dataset:
         key, val = token.split("=", 1)
         if key not in opts:
             raise ConfigError(f"unknown option {key!r} in synthetic spec {spec!r}")
-        opts[key] = float(val) if key == "noise" else int(val)
+        try:
+            opts[key] = float(val) if key == "noise" else int(val)
+        except ValueError as exc:
+            raise ConfigError(f"bad value {val!r} for {key} in synthetic spec {spec!r}") from exc
     return generate_synthetic(
         kind, size, opts["noise"], opts["seed"], components=opts["components"]
     )
@@ -130,19 +133,29 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
+def _int(token: str, text: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise ConfigError(f"not an integer: {token!r} in {text!r}") from exc
+
+
 def parse_k_range(text: str) -> list[int]:
     """"2:50" -> [2..50]; a single integer is a one-point range."""
     if ":" in text:
-        lo, hi = text.split(":", 1)
-        lo, hi = int(lo), int(hi)
+        lo, hi = (_int(tok, text) for tok in text.split(":", 1))
         if lo > hi:
             raise ConfigError(f"empty k range {text!r}")
         return list(range(lo, hi + 1))
-    return [int(text)]
+    return [_int(text, text)]
 
 
 def parse_int_set(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    """"8,16" -> [8, 16]; empty items are skipped, but the set may not be empty."""
+    values = [_int(tok, text) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ConfigError(f"empty set {text!r}")
+    return values
 
 
 def run_sweep(ds: Dataset, cfg: RunConfig, k_values: list[int], beta_values: list[int]) -> dict:

@@ -1,8 +1,7 @@
 """External clustering metrics: ARI, NMI, and Hungarian-matched accuracy.
 
 All three are label-permutation invariant and computed from one contingency
-table.  NMI uses natural-log entropies with geometric-mean normalization by
-default (arithmetic available for comparing against other conventions).
+table.  NMI uses natural-log entropies with geometric-mean normalization.
 """
 
 from __future__ import annotations
@@ -67,12 +66,12 @@ def _entropy(marginals: np.ndarray, n: int) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def nmi(pred, truth, normalization: str = "geometric") -> float:
+def nmi(pred, truth) -> float:
     """Normalized mutual information in [0, 1]; 0 when either labeling is constant."""
-    return _nmi(contingency_table(pred, truth), normalization)
+    return _nmi(contingency_table(pred, truth))
 
 
-def _nmi(table: ContingencyTable, normalization: str = "geometric") -> float:
+def _nmi(table: ContingencyTable) -> float:
     n = table.n
     nz = table.counts > 0
     pij = table.counts[nz] / n
@@ -82,12 +81,7 @@ def _nmi(table: ContingencyTable, normalization: str = "geometric") -> float:
         return 0.0
     h_pred = _entropy(table.row_marginals, n)
     h_true = _entropy(table.col_marginals, n)
-    if normalization == "geometric":
-        denom = np.sqrt(h_pred * h_true)
-    elif normalization == "arithmetic":
-        denom = 0.5 * (h_pred + h_true)
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
+    denom = np.sqrt(h_pred * h_true)
     if denom == 0:
         return 0.0
     return float(min(1.0, mi / denom))

@@ -68,7 +68,6 @@ class RunConfig:
     runs: int = 10
     normalization: str = "minmax"
     dump_micro: bool = False
-    mc_comparison: str = ">"
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -86,7 +85,7 @@ class RunConfig:
 
     def split_config(self) -> SplitConfig:
         mode = "full" if self.mode == "single-cluster" else self.mode
-        return SplitConfig(lam=self.lam, beta=self.beta, mode=mode, mc_comparison=self.mc_comparison)
+        return SplitConfig(lam=self.lam, beta=self.beta, mode=mode)
 
     @classmethod
     def from_ini(cls, path) -> "RunConfig":
@@ -115,15 +114,6 @@ class RunConfig:
         if extra:
             raise ConfigError(f"{path}: unknown option(s) {sorted(extra)}")
         return cls(**kwargs)
-
-    def to_ini(self, path) -> None:
-        parser = configparser.ConfigParser()
-        parser["run"] = {
-            f.name: "" if getattr(self, f.name) is None else str(getattr(self, f.name))
-            for f in fields(self)
-        }
-        with open(path, "w") as fh:
-            parser.write(fh)
 
     def with_overrides(self, **kwargs) -> "RunConfig":
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})

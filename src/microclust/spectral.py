@@ -36,10 +36,12 @@ def build_similarity_matrix(pcs: PseudoClusterSet, nt: NeighborTable, ds: Datase
     union = csr_matrix((np.ones(cols.size), (rows, cols)), shape=(m, ds.n))
     union.data[:] = 1.0
     counts = (union @ union.T).toarray()
-    c_dist = cdist(pcs.centroids, pcs.centroids)
-    s = counts / (1.0 + c_dist)
-    np.fill_diagonal(s, 0.0)
-    return s
+    # in place, so only counts and one distance array are ever held
+    dist = cdist(pcs.centroids, pcs.centroids)
+    np.add(dist, 1.0, out=dist)
+    np.divide(counts, dist, out=counts)
+    np.fill_diagonal(counts, 0.0)
+    return counts
 
 
 def count_graph_components(s: np.ndarray) -> int:
@@ -111,10 +113,3 @@ def knn_adjacency(ds: Dataset, k: int) -> np.ndarray:
     rows = np.repeat(np.arange(ds.n), nt.k)
     a[rows, nt.indices.ravel()] = 1.0
     return np.maximum(a, a.T)
-
-
-def plain_spectral_baseline(ds: Dataset, n_clusters: int, knn: int, seed: int) -> np.ndarray:
-    """Spectral clustering straight on the point-level k-NN graph."""
-    if ds.n < n_clusters:
-        raise ValueError(f"need at least {n_clusters} points")
-    return spectral_cluster(knn_adjacency(ds, knn), n_clusters, seed)

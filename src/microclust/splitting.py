@@ -25,35 +25,26 @@ _MODES = ("full", "no-split", "compactness-only")
 
 @dataclass
 class SplitConfig:
-    """Knobs for the split loop.
+    """The split rule's parameters.
 
-    lam is the curvature threshold (>= 1), beta the minimum splittable size
-    (>= 2), max_rounds a safety cap on passes over the work queue (None means
-    ceil(10*log2(n))).  mode "no-split" disables splitting entirely and
-    "compactness-only" drops the curvature gate; mc_comparison selects strict
-    ">" (default) or ">=" against lam.
+    lam is the curvature threshold (>= 1): a cluster is curved enough to
+    split when its curvature is strictly greater.  beta is the minimum
+    splittable size (>= 2).  mode "no-split" disables splitting entirely
+    and "compactness-only" drops the curvature gate.  The number of rounds
+    is capped at default_max_rounds(n).
     """
 
     lam: float = 1.5
     beta: int = 8
-    max_rounds: int | None = None
     mode: str = "full"
-    mc_comparison: str = ">"
 
     def __post_init__(self):
         if self.lam < 1:
             raise ValueError("lam must be >= 1")
         if self.beta < 2:
             raise ValueError("beta must be >= 2")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
-        if self.mc_comparison not in (">", ">="):
-            raise ValueError("mc_comparison must be '>' or '>='")
-
-    def curvature_passes(self, mc: float) -> bool:
-        return mc >= self.lam if self.mc_comparison == ">=" else mc > self.lam
 
 
 @dataclass
@@ -200,49 +191,6 @@ def _tree_diameters(edges: np.ndarray, weights: np.ndarray, ids: np.ndarray, sta
     return np.sort(np.column_stack([ids[u], ids[v]]), axis=1), dist[v]
 
 
-def build_mst(cluster: np.ndarray, ds: Dataset):
-    """Minimum spanning tree of the complete Euclidean graph on the members.
-
-    Prim's algorithm over squared distances (square roots taken once at the
-    end); deterministic under ties: the frontier vertex with the smallest
-    (key, position) wins and the earliest parent is kept.  Returns
-    (edges, weights) with edges as global point-index pairs; a singleton
-    cluster yields empty arrays.
-    """
-    cluster = np.asarray(cluster, dtype=np.int64)
-    edges, weights, _ = _prim_forest([cluster], ds)
-    return cluster[edges], weights
-
-
-def find_endpoints(mst_edges: np.ndarray, mst_weights: np.ndarray):
-    """Tree-diameter endpoints and weighted path length of an MST edge list.
-
-    Two farthest-point sweeps, exact on trees with nonnegative weights.
-    Returns ((a, b), path_dist) with a < b.
-    """
-    if mst_edges.shape[0] < 1:
-        raise ValueError("need an MST spanning at least 2 points")
-    ids, local = np.unique(np.asarray(mst_edges, dtype=np.int64), return_inverse=True)
-    ends, paths = _tree_diameters(
-        local.reshape(mst_edges.shape), np.asarray(mst_weights, dtype=np.float64),
-        ids, np.array([0, ids.size]),
-    )
-    return (int(ends[0, 0]), int(ends[0, 1])), float(paths[0])
-
-
-def _curvature(path_dist: float, euclid: float) -> float:
-    return math.inf if euclid == 0.0 else path_dist / euclid
-
-
-def manifold_curvature(endpoints: tuple[int, int], path_dist: float, ds: Dataset) -> float:
-    """path distance / straight-line distance between the endpoints.
-
-    Spatially coincident endpoints give +inf (treated as maximally curved).
-    """
-    a, b = endpoints
-    return _curvature(path_dist, float(np.linalg.norm(ds.points[a] - ds.points[b])))
-
-
 def compactness_dm(cluster: np.ndarray, ds: Dataset) -> float:
     """Mean member distance to the cluster centroid."""
     pts = ds.points[np.asarray(cluster, dtype=np.int64)]
@@ -255,14 +203,6 @@ def compactness_dm(cluster: np.ndarray, ds: Dataset) -> float:
 
 def _weighted(m1: int, dm1: float, m2: int, dm2: float) -> float:
     return (m1 * dm1 + m2 * dm2) / (m1 + m2)
-
-
-def weighted_dm(child1: np.ndarray, child2: np.ndarray, ds: Dataset) -> float:
-    """Size-weighted mean of the children's compactness."""
-    m1, m2 = len(child1), len(child2)
-    if m1 == 0 or m2 == 0:
-        raise ValueError("children must be nonempty")
-    return _weighted(m1, compactness_dm(child1, ds), m2, compactness_dm(child2, ds))
 
 
 def round_geometry(clusters, ds: Dataset, dms=None) -> list[ClusterGeometry]:
@@ -291,7 +231,7 @@ def round_geometry(clusters, ds: Dataset, dms=None) -> list[ClusterGeometry]:
         a, b = int(ends[t, 0]), int(ends[t, 1])
         path_dist = float(paths[t])
         euclid = float(np.linalg.norm(ds.points[a] - ds.points[b]))
-        mc = _curvature(path_dist, euclid)
+        mc = math.inf if euclid == 0.0 else path_dist / euclid
         out.append(ClusterGeometry(e, w, (a, b), path_dist, euclid, mc, dms[t]))
     return out
 
@@ -322,18 +262,19 @@ class _Children(tuple):
 def split_once(cluster: np.ndarray, ds: Dataset, cfg: SplitConfig, geom: ClusterGeometry | None = None):
     """One split attempt; returns (child1, child2) or None.
 
-    A cluster splits only when it is larger than beta, its curvature passes
-    the lam gate (skipped in compactness-only mode), both candidate children
-    are nonempty, and the weighted child compactness strictly improves on the
-    parent's.  Mode no-split always declines.  The returned pair also
-    carries the children's compactness values as its ``dms`` attribute.
+    A cluster splits only when it is larger than beta, its curvature is
+    strictly greater than lam (skipped in compactness-only mode), both
+    candidate children are nonempty, and the weighted child compactness
+    strictly improves on the parent's.  Mode no-split always declines.  The
+    returned pair also carries the children's compactness values as its
+    ``dms`` attribute.
     """
     members = np.asarray(cluster, dtype=np.int64)
     if cfg.mode == "no-split" or members.size <= cfg.beta or members.size < 2:
         return None
     if geom is None:
         geom = cluster_geometry(members, ds)
-    if cfg.mode != "compactness-only" and not cfg.curvature_passes(geom.mc):
+    if cfg.mode != "compactness-only" and not geom.mc > cfg.lam:
         return None
     assert geom.endpoints is not None
     child1, child2 = _partition_by_endpoints(members, geom.endpoints, ds)
@@ -346,6 +287,7 @@ def split_once(cluster: np.ndarray, ds: Dataset, cfg: SplitConfig, geom: Cluster
 
 
 def default_max_rounds(n: int) -> int:
+    """split_all's cap on rounds for n points: ceil(10 * log2(n)), at least 1."""
     return max(1, math.ceil(10 * math.log2(max(n, 2))))
 
 
@@ -395,7 +337,7 @@ def split_all(pcs: PseudoClusterSet, ds: Dataset, cfg: SplitConfig, geometry: di
     pending = [
         (np.asarray(c, dtype=np.int64), int(pcs.cores[t]), None) for t, c in enumerate(pcs.clusters)
     ]
-    max_rounds = cfg.max_rounds if cfg.max_rounds is not None else default_max_rounds(ds.n)
+    max_rounds = default_max_rounds(ds.n)
     next_id = pcs.m
 
     while pending:

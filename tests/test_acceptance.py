@@ -120,14 +120,13 @@ def test_criterion_4_oracle_equivalence():
     for i in range(30):
         n = int(rng.integers(2, 201))
         ds = mc.Dataset(rng.standard_normal((n, int(rng.integers(1, 6)))))
-        edges, weights = mc.build_mst(np.arange(n), ds)
+        geom = mc.round_geometry([np.arange(n)], ds)[0]
+        edges, weights = geom.mst_edges, geom.mst_weights
         if not np.isclose(weights.sum(), brute_force_mst_weight(ds.points), rtol=1e-9):
             failures.append(f"mst instance {i}")
         # tree-diameter endpoints vs all-pairs tree paths
-        if n >= 2:
-            _, path_dist = mc.find_endpoints(edges, weights)
-            if not np.isclose(path_dist, brute_force_tree_diameter(edges, weights), rtol=1e-9):
-                failures.append(f"endpoints instance {i}")
+        if not np.isclose(geom.path_dist, brute_force_tree_diameter(edges, weights), rtol=1e-9):
+            failures.append(f"endpoints instance {i}")
 
     # Hungarian accuracy vs permutation enumeration, label alphabets <= 7
     for i in range(60):

@@ -88,6 +88,22 @@ def test_cluster_bad_synth_spec_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sweep", "--input", BLOBS, "--k-range", "x"],
+        ["sweep", "--input", BLOBS, "--beta-set", "8,x"],
+        ["sweep", "--input", BLOBS, "--beta-set", ","],
+        ["cluster", "--input", "synth:moons:100:noise=abc"],
+    ],
+    ids=["k-range-x", "beta-set-8-x", "beta-set-empty", "synth-noise-abc"],
+)
+def test_bad_numbers_are_config_errors(command, tmp_path, capsys):
+    code = main([*command, "--clusters", "2", "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cluster_numerical_error_exit_code(tmp_path, capsys):
     # k so large the leader graph collapses to fewer micro-clusters than C
     code = main(

@@ -7,7 +7,6 @@ from microclust import (
     compactness_dm,
     farthest_pair,
     gb_generate,
-    weighted_dm,
 )
 
 from conftest import dense_distances
@@ -67,10 +66,11 @@ def test_gb_two_tight_blobs_first_split_separates():
     for ball in balls:
         labs = np.unique(ds.labels[ball.members])
         assert labs.size == 1
-    # direct evaluation of the quality rule on the first split
-    left = np.arange(30)
-    right = np.arange(30, 60)
-    assert weighted_dm(left, right, ds) < compactness_dm(np.arange(60), ds)
+    # direct evaluation of the quality rule on the first split: the size-weighted
+    # mean of the blobs' compactness beats the whole set's
+    halves = compactness_dm(np.arange(30), ds), compactness_dm(np.arange(30, 60), ds)
+    np.testing.assert_allclose(first["dm_weight"], (30 * halves[0] + 30 * halves[1]) / 60)
+    assert first["dm_weight"] < compactness_dm(np.arange(60), ds)
 
 
 def test_gb_zero_spread_blobs_exactly_two_balls():

@@ -81,9 +81,6 @@ def test_nmi_hand_computed_table():
     h_pred = -(pi * np.log(pi)).sum()
     h_true = -(pj * np.log(pj)).sum()
     np.testing.assert_allclose(nmi(pred, truth), mi / np.sqrt(h_pred * h_true), rtol=1e-12)
-    np.testing.assert_allclose(
-        nmi(pred, truth, normalization="arithmetic"), mi / (0.5 * (h_pred + h_true)), rtol=1e-12
-    )
 
 
 def test_nmi_bounds_randomized():

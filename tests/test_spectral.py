@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial.distance import cdist
 
 from microclust import (
     Dataset,
+    RunConfig,
     ari,
     build_pseudo_clusters,
     build_similarity_matrix,
@@ -12,10 +16,9 @@ from microclust import (
     generate_synthetic,
     jacobi_eigh,
     knn_adjacency,
-    normalize_minmax,
     normalized_laplacian,
-    plain_spectral_baseline,
     propagate_labels,
+    run_pipeline,
     spectral_cluster,
 )
 from microclust.neighbors import PseudoClusterSet
@@ -56,6 +59,27 @@ def brute_force_snn(p_i, p_j, nt, ds):
     ci = ds.points[list(p_i)].mean(axis=0)
     cj = ds.points[list(p_j)].mean(axis=0)
     return len(union_i & union_j) / (1.0 + float(np.linalg.norm(ci - cj)))
+
+
+def test_build_similarity_in_place_peak_and_bits():
+    # m = 500 singleton micro-clusters: the build may hold the m x m counts
+    # and one distance array, not the extra 1 + distance and quotient arrays
+    rng = np.random.default_rng(31)
+    ds = Dataset(rng.standard_normal((500, 3)))
+    nt = compute_knn(ds, 10)
+    pcs = _manual_clusters(ds, [[i] for i in range(ds.n)])
+    tracemalloc.start()
+    try:
+        s = build_similarity_matrix(pcs, nt, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * pcs.m * pcs.m * 8
+    union = np.zeros((pcs.m, ds.n))
+    union[np.repeat(np.arange(pcs.m), nt.k), nt.indices.ravel()] = 1.0
+    old = (union @ union.T) / (1.0 + cdist(pcs.centroids, pcs.centroids))
+    np.fill_diagonal(old, 0.0)
+    assert np.array_equal(s, old)
 
 
 def test_snn_disjoint_unions_zero():
@@ -230,23 +254,25 @@ def test_plain_sc_two_far_blobs():
         [rng.standard_normal((25, 2)) * 0.1, rng.standard_normal((25, 2)) * 0.1 + 50]
     )
     ds = Dataset(pts, np.repeat([0, 1], 25))
-    labels = plain_spectral_baseline(ds, 2, knn=5, seed=0)
+    cfg = RunConfig(algorithm="sc", normalization="none", k=5, n_clusters=2)
+    labels = run_pipeline(ds, cfg).point_labels
     assert ari(labels, ds.labels) == 1.0
 
 
 def test_plain_sc_c_equals_n():
     rng = np.random.default_rng(5)
     ds = Dataset(rng.standard_normal((6, 2)))
-    labels = plain_spectral_baseline(ds, 6, knn=2, seed=0)
+    cfg = RunConfig(algorithm="sc", normalization="none", k=2, n_clusters=6)
+    labels = run_pipeline(ds, cfg).point_labels
     assert np.unique(labels).size == 6
 
 
 def test_plain_sc_moons_perfect_for_some_knn():
     ds = generate_synthetic("moons", 240, 0.04, 3)
-    norm = normalize_minmax(ds)
     best = 0.0
     for knn in range(5, 21):
-        labels = plain_spectral_baseline(norm, 2, knn=knn, seed=0)
+        cfg = RunConfig(algorithm="sc", k=knn, n_clusters=2)  # min-max normalized
+        labels = run_pipeline(ds, cfg).point_labels
         best = max(best, ari(labels, ds.labels))
         if best == 1.0:
             break

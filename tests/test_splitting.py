@@ -6,17 +6,13 @@ import pytest
 from microclust import (
     Dataset,
     SplitConfig,
-    build_mst,
     build_pseudo_clusters,
     cluster_geometry,
     compactness_dm,
-    find_endpoints,
-    manifold_curvature,
     round_geometry,
     split_all,
     split_once,
     splitting,
-    weighted_dm,
 )
 
 from conftest import (
@@ -28,22 +24,22 @@ from conftest import (
 
 
 def test_mst_right_angle(right_angle_triple):
-    edges, weights = build_mst(np.arange(3), right_angle_triple)
-    assert sorted(map(tuple, np.sort(edges, axis=1).tolist())) == [(0, 1), (1, 2)]
-    np.testing.assert_allclose(weights.sum(), 2.0)
+    geom = round_geometry([np.arange(3)], right_angle_triple)[0]
+    assert sorted(map(tuple, np.sort(geom.mst_edges, axis=1).tolist())) == [(0, 1), (1, 2)]
+    np.testing.assert_allclose(geom.mst_weights.sum(), 2.0)
 
 
 def test_mst_singleton():
     ds = Dataset(np.array([[1.0, 2.0]]))
-    edges, weights = build_mst(np.array([0]), ds)
-    assert edges.shape == (0, 2) and weights.shape == (0,)
+    geom = round_geometry([np.array([0])], ds)[0]
+    assert geom.mst_edges.shape == (0, 2) and geom.mst_weights.shape == (0,)
 
 
 def test_mst_collinear_chain():
     ds = Dataset(np.array([[0.0], [1.0], [2.0], [3.0]]))
-    edges, weights = build_mst(np.arange(4), ds)
-    assert sorted(map(tuple, np.sort(edges, axis=1).tolist())) == [(0, 1), (1, 2), (2, 3)]
-    np.testing.assert_allclose(weights, 1.0)
+    geom = round_geometry([np.arange(4)], ds)[0]
+    assert sorted(map(tuple, np.sort(geom.mst_edges, axis=1).tolist())) == [(0, 1), (1, 2), (2, 3)]
+    np.testing.assert_allclose(geom.mst_weights, 1.0)
 
 
 def test_mst_weight_matches_oracle_randomized():
@@ -52,7 +48,7 @@ def test_mst_weight_matches_oracle_randomized():
         n = int(rng.integers(2, 120))
         d = int(rng.integers(1, 5))
         ds = Dataset(rng.standard_normal((n, d)))
-        _, weights = build_mst(np.arange(n), ds)
+        weights = round_geometry([np.arange(n)], ds)[0].mst_weights
         oracle = brute_force_mst_weight(ds.points)
         np.testing.assert_allclose(weights.sum(), oracle, rtol=1e-9)
 
@@ -61,33 +57,32 @@ def test_mst_subset_cluster_global_indices():
     rng = np.random.default_rng(2)
     ds = Dataset(rng.standard_normal((30, 2)))
     members = np.array([3, 7, 11, 20, 25])
-    edges, weights = build_mst(members, ds)
-    assert set(np.unique(edges)) <= set(members.tolist())
-    np.testing.assert_allclose(weights.sum(), brute_force_mst_weight(ds.points[members]), rtol=1e-9)
+    geom = round_geometry([members], ds)[0]
+    assert set(np.unique(geom.mst_edges)) <= set(members.tolist())
+    oracle = brute_force_mst_weight(ds.points[members])
+    np.testing.assert_allclose(geom.mst_weights.sum(), oracle, rtol=1e-9)
 
 
-def test_endpoints_chain():
-    edges = np.array([[0, 1], [1, 2]])
-    weights = np.array([1.0, 1.0])
-    (a, b), dist = find_endpoints(edges, weights)
-    assert (a, b) == (0, 2) and dist == 2.0
+def test_endpoints_chain(collinear_triple):
+    geom = round_geometry([np.arange(3)], collinear_triple)[0]
+    assert geom.endpoints == (0, 2) and geom.path_dist == 2.0
 
 
 def test_endpoints_star():
-    edges = np.array([[9, 1], [9, 2], [9, 3]])
-    weights = np.array([1.0, 2.0, 3.0])
-    (a, b), dist = find_endpoints(edges, weights)
-    assert (a, b) == (2, 3) and dist == 5.0
+    # centre 9 with leaves 1, 2, 3 at distances 1, 2, 3; every leaf-leaf
+    # distance is longer than the leaf's spoke, so the MST is the star
+    pts = np.full((10, 2), 100.0)
+    pts[[9, 1, 2, 3]] = [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [-3.0, 0.0]]
+    geom = round_geometry([np.array([9, 1, 2, 3])], Dataset(pts))[0]
+    assert sorted(map(tuple, np.sort(geom.mst_edges, axis=1).tolist())) == [(1, 9), (2, 9), (3, 9)]
+    assert geom.endpoints == (2, 3) and geom.path_dist == 5.0
 
 
 def test_endpoints_single_edge():
-    (a, b), dist = find_endpoints(np.array([[4, 6]]), np.array([0.5]))
-    assert (a, b) == (4, 6) and dist == 0.5
-
-
-def test_endpoints_requires_two_points():
-    with pytest.raises(ValueError):
-        find_endpoints(np.empty((0, 2), dtype=int), np.empty(0))
+    pts = np.zeros((7, 1))
+    pts[6] = 0.5
+    geom = round_geometry([np.array([6, 4])], Dataset(pts))[0]
+    assert geom.endpoints == (4, 6) and geom.path_dist == 0.5
 
 
 def test_endpoints_match_tree_path_oracle_randomized():
@@ -95,9 +90,9 @@ def test_endpoints_match_tree_path_oracle_randomized():
     for _ in range(20):
         n = int(rng.integers(2, 150))
         ds = Dataset(rng.standard_normal((n, 3)))
-        edges, weights = build_mst(np.arange(n), ds)
-        _, dist = find_endpoints(edges, weights)
-        np.testing.assert_allclose(dist, brute_force_tree_diameter(edges, weights), rtol=1e-12)
+        geom = round_geometry([np.arange(n)], ds)[0]
+        oracle = brute_force_tree_diameter(geom.mst_edges, geom.mst_weights)
+        np.testing.assert_allclose(geom.path_dist, oracle, rtol=1e-12)
 
 
 def test_curvature_collinear(collinear_triple):
@@ -112,7 +107,8 @@ def test_curvature_right_angle(right_angle_triple):
 
 def test_curvature_coincident_endpoints():
     ds = Dataset(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    assert manifold_curvature((0, 1), 0.0, ds) == math.inf
+    geom = round_geometry([np.arange(2)], ds)[0]
+    assert geom.euclid_dist == 0.0 and geom.mc == math.inf
 
 
 def test_dm_examples(spread_quadruple):
@@ -127,21 +123,18 @@ def test_dm_identical_points():
     assert compactness_dm(np.arange(4), ds) == 0.0
 
 
-def test_weighted_dm(spread_quadruple):
-    left = np.array([0, 1])
-    right = np.array([2, 3])
-    np.testing.assert_allclose(weighted_dm(left, right, spread_quadruple), 0.05)
-    # equal child DM -> weighted equals it regardless of sizes
+def test_split_record_weighted_dm(spread_quadruple):
+    comp = SplitConfig(beta=2, mode="compactness-only")
+    _, report = split_all(_as_single_cluster(spread_quadruple), spread_quadruple, comp)
+    np.testing.assert_allclose(report.records[0]["dm_weight"], 0.05)
+    # unequal children: the mean is weighted by size
     ds = Dataset(np.array([[0.0], [1.0], [10.0], [11.0], [12.0], [13.0]]))
-    dm_w = weighted_dm(np.array([0, 1]), np.array([2, 3, 4, 5]), ds)
+    _, report = split_all(_as_single_cluster(ds), ds, SplitConfig(beta=5, mode="compactness-only"))
+    first = report.records[0]
+    assert first["child_sizes"] == [2, 4]
     dm1 = compactness_dm(np.array([0, 1]), ds)
     dm2 = compactness_dm(np.array([2, 3, 4, 5]), ds)
-    np.testing.assert_allclose(dm_w, (2 * dm1 + 4 * dm2) / 6)
-
-
-def test_weighted_dm_rejects_empty(spread_quadruple):
-    with pytest.raises(ValueError):
-        weighted_dm(np.array([], dtype=int), np.arange(4), spread_quadruple)
+    np.testing.assert_allclose(first["dm_weight"], (2 * dm1 + 4 * dm2) / 6)
 
 
 def test_split_once_curvature_gate(collinear_triple):
@@ -249,9 +242,11 @@ def test_split_all_partition_preserved_randomized():
                 assert cluster_geometry(members, ds).mc >= 1.0 - 1e-12
 
 
-def test_split_all_max_rounds_warning():
+def test_split_all_max_rounds_warning(monkeypatch):
     ds = _elbow(30)
-    out, report = split_all(_as_single_cluster(ds), ds, SplitConfig(max_rounds=1))
+    monkeypatch.setattr(splitting, "default_max_rounds", lambda n: 1)
+    out, report = split_all(_as_single_cluster(ds), ds, SplitConfig())
+    assert report.rounds == 1
     assert any("max_rounds" in w for w in report.warnings)
     out.validate()
 
@@ -263,12 +258,10 @@ def test_split_config_validation():
         SplitConfig(beta=1)
     with pytest.raises(ValueError):
         SplitConfig(mode="bogus")
-    with pytest.raises(ValueError):
-        SplitConfig(max_rounds=0)
 
 
-def test_mc_comparison_switch():
-    # at MC exactly lam, ">" declines and ">=" splits
+def test_curvature_gate_is_strict():
+    # at MC exactly lam the cluster stays; just below lam it splits
     ds = Dataset(
         np.array(
             [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.2, 0.0], [0.8, 0.0], [1.0, 0.4], [1.0, 0.7]]
@@ -276,10 +269,9 @@ def test_mc_comparison_switch():
     )
     members = np.arange(7)
     geom = cluster_geometry(members, ds)
-    strict = SplitConfig(lam=geom.mc, beta=2, mc_comparison=">")
-    loose = SplitConfig(lam=geom.mc, beta=2, mc_comparison=">=")
-    assert split_once(members, ds, strict) is None
-    assert split_once(members, ds, loose) is not None
+    assert split_once(members, ds, SplitConfig(lam=geom.mc, beta=2)) is None
+    below = SplitConfig(lam=float(np.nextafter(geom.mc, 0.0)), beta=2)
+    assert split_once(members, ds, below) is not None
 
 
 def _tie_heavy_round(rng, d):
@@ -305,8 +297,8 @@ def test_round_geometry_matches_per_cluster_reference_exactly(d):
             edges, weights = reference_prim(ds.points, members)
             assert np.array_equal(geom.mst_edges, edges)
             assert np.array_equal(geom.mst_weights, weights)
-            one_edges, one_weights = build_mst(members, ds)
-            assert np.array_equal(one_edges, edges) and np.array_equal(one_weights, weights)
+            one = round_geometry([members], ds)[0]
+            assert np.array_equal(one.mst_edges, edges) and np.array_equal(one.mst_weights, weights)
             pts = ds.points[members]
             old_dm = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).mean())
             assert geom.dm == compactness_dm(members, ds) == old_dm
@@ -314,7 +306,7 @@ def test_round_geometry_matches_per_cluster_reference_exactly(d):
                 assert geom.endpoints is None and geom.mc == 1.0
                 continue
             (a, b), path = reference_endpoints(edges, weights)
-            assert find_endpoints(edges, weights) == ((a, b), path)
+            assert one.endpoints == (a, b) and one.path_dist == path
             euclid = float(np.linalg.norm(ds.points[a] - ds.points[b]))
             assert geom.endpoints == (a, b)
             assert geom.path_dist == path and geom.euclid_dist == euclid
