@@ -183,6 +183,9 @@ def normalize_zscore(ds: Dataset) -> Dataset:
     return Dataset(out, ds.labels, ds.name)
 
 
+NORMALIZATIONS = ("minmax", "zscore", "none")
+
+
 def normalize(ds: Dataset, method: str = "minmax") -> Dataset:
     if method == "minmax":
         return normalize_minmax(ds)

@@ -54,7 +54,7 @@ def _pattern_components(a: np.ndarray) -> tuple[int, np.ndarray]:
     return int(n_comp), labels
 
 
-def jacobi_eigh(matrix: np.ndarray):
+def jacobi_eigh(matrix: np.ndarray, components: tuple[int, np.ndarray] | None = None):
     """All eigenvalues/eigenvectors of a real symmetric matrix.
 
     Returns (w, V) with w ascending and eigenvectors in the columns of V,
@@ -63,6 +63,9 @@ def jacobi_eigh(matrix: np.ndarray):
     solved on its own; its eigenvectors are zero outside it.  Equal
     eigenvalues of different components keep the components' order (by
     smallest member).  A connected matrix is one block, solved whole.
+    components, when given, is that labelling as (count, labels), already
+    computed by the caller (from a matrix with the same off-diagonal
+    pattern); otherwise it is computed here.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
@@ -71,7 +74,7 @@ def jacobi_eigh(matrix: np.ndarray):
     if not np.isfinite(a).all() or _max_asymmetry(a) > 1e-12:
         raise ValueError("matrix must be finite and symmetric")
     m = a.shape[0]
-    n_blocks, block_of = _pattern_components(a)
+    n_blocks, block_of = _pattern_components(a) if components is None else components
     blocks = np.split(np.argsort(block_of, kind="stable"), np.cumsum(np.bincount(block_of))[:-1])
     solved = []
     for idx in blocks:
@@ -101,8 +104,11 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
-            probs = d2 / total
-            centers[j] = rng.choice(n, p=probs)
+            # rng.choice(n, p=d2 / total) without its argument checks: the
+            # same inverse-CDF draw from the same single double.
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            centers[j] = cdf.searchsorted(rng.random(), side="right")
         else:
             # All remaining mass at distance 0: take the smallest unused index.
             used = np.zeros(n, dtype=bool)

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, normalize
+from .data import NORMALIZATIONS, Dataset, normalize
 from .granular import balls_to_microclusters, gb_generate
 from .metrics import metrics_report
 from .neighbors import (
@@ -74,6 +74,10 @@ class RunConfig:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.normalization not in NORMALIZATIONS:
+            raise ConfigError(
+                f"normalization must be one of {NORMALIZATIONS}, got {self.normalization!r}"
+            )
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if self.n_clusters < 2:
@@ -299,7 +303,7 @@ def run_pipeline(ds_raw: Dataset, cfg: RunConfig) -> ClusteringResult:
             f"lower k or beta"
         )
     similarity = build_similarity_matrix(pcs, nt, ds)
-    components = count_graph_components(similarity)
+    components, component_of = count_graph_components(similarity)
     if components > cfg.n_clusters:
         warnings.append(
             f"similarity graph has {components} components for C={cfg.n_clusters}"
@@ -307,7 +311,9 @@ def run_pipeline(ds_raw: Dataset, cfg: RunConfig) -> ClusteringResult:
     timings["similarity"] = (clock() - t2) * 1e3
 
     t3 = clock()
-    micro_labels = spectral_cluster(similarity, cfg.n_clusters, cfg.seed)
+    micro_labels = spectral_cluster(
+        similarity, cfg.n_clusters, cfg.seed, components=(components, component_of)
+    )
     point_labels = propagate_labels(pcs, micro_labels)
     timings["spectral"] = (clock() - t3) * 1e3
     timings["total"] = sum(timings.values())

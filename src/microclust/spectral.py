@@ -44,9 +44,13 @@ def build_similarity_matrix(pcs: PseudoClusterSet, nt: NeighborTable, ds: Datase
     return counts
 
 
-def count_graph_components(s: np.ndarray) -> int:
-    """Connected components of the nonzero pattern of a similarity matrix."""
-    return _pattern_components(s)[0]
+def count_graph_components(s: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of the nonzero pattern of a similarity matrix: (count, labels).
+
+    spectral_cluster takes the pair as its components argument, so the
+    eigensolver does not label the same pattern again.
+    """
+    return _pattern_components(s)
 
 
 def normalized_laplacian(s: np.ndarray) -> np.ndarray:
@@ -63,12 +67,14 @@ def normalized_laplacian(s: np.ndarray) -> np.ndarray:
     return lap
 
 
-def spectral_embedding(s: np.ndarray, n_clusters: int) -> np.ndarray:
+def spectral_embedding(s: np.ndarray, n_clusters: int, components=None) -> np.ndarray:
     """Rows of the normalized-Laplacian eigenvector embedding.
 
     Embedding rows are scaled to unit length (zero rows left zero).
+    components, when given, is count_graph_components(s), handed to the
+    eigensolver: the Laplacian's off-diagonal pattern is the similarity's.
     """
-    w, v = jacobi_eigh(normalized_laplacian(s))
+    w, v = jacobi_eigh(normalized_laplacian(s), components)
     emb = v[:, :n_clusters]
     norms = np.linalg.norm(emb, axis=1)
     keep = norms > 0
@@ -77,11 +83,13 @@ def spectral_embedding(s: np.ndarray, n_clusters: int) -> np.ndarray:
     return emb
 
 
-def spectral_cluster(s: np.ndarray, n_clusters: int, seed: int, n_restarts: int = 10) -> np.ndarray:
+def spectral_cluster(
+    s: np.ndarray, n_clusters: int, seed: int, n_restarts: int = 10, components=None
+) -> np.ndarray:
     """Normalized-cut labels for an m x m similarity matrix.
 
     Requires m >= n_clusters >= 2.  Fixed seed gives identical labels on
-    every run.
+    every run.  components, when given, is count_graph_components(s).
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -93,7 +101,7 @@ def spectral_cluster(s: np.ndarray, n_clusters: int, seed: int, n_restarts: int 
         raise ValueError(f"cannot form {n_clusters} clusters from {m} micro-clusters")
     if (s < 0).any() or not np.isfinite(s).all():
         raise ValueError("similarity entries must be finite and nonnegative")
-    emb = spectral_embedding(s, n_clusters)
+    emb = spectral_embedding(s, n_clusters, components)
     labels, _ = kmeans(emb, n_clusters, seed, n_restarts=n_restarts)
     return labels
 

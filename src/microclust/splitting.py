@@ -6,6 +6,11 @@ distance.  A ratio near 1 means the members lie along a nearly convex set;
 large ratios flag curved structures that get split at the endpoints, but only
 when the size-weighted compactness of the two candidate children improves on
 the parent's.
+
+A split round is computed in one batch (round_geometry): every candidate's
+MST, diameter endpoints and curvature, and with them its split proposal,
+the two children at the endpoints with their compactness and centroids.
+split_once then only decides.
 """
 
 from __future__ import annotations
@@ -49,7 +54,14 @@ class SplitConfig:
 
 @dataclass
 class ClusterGeometry:
-    """MST, diameter endpoints, curvature, and compactness of one cluster."""
+    """MST, diameter endpoints, curvature and compactness of one cluster, with its split proposal.
+
+    The proposal splits the members at the endpoints (a, b): each member
+    joins the child of the nearer one, a on ties, and children keep member
+    order.  child_dms and child_centroids are each child's compactness and
+    mean, nan for both children when one is empty.  Singletons have no
+    endpoints and no proposal (None).
+    """
 
     mst_edges: np.ndarray      # (s-1, 2) global point indices
     mst_weights: np.ndarray    # (s-1,) Euclidean lengths
@@ -58,6 +70,9 @@ class ClusterGeometry:
     euclid_dist: float
     mc: float
     dm: float
+    children: tuple[np.ndarray, np.ndarray] | None = None
+    child_dms: tuple[float, float] | None = None
+    child_centroids: np.ndarray | None = None  # (2, d)
 
 
 @dataclass
@@ -191,14 +206,66 @@ def _tree_diameters(edges: np.ndarray, weights: np.ndarray, ids: np.ndarray, sta
     return np.sort(np.column_stack([ids[u], ids[v]]), axis=1), dist[v]
 
 
+def _centroid_dm(pts: np.ndarray) -> tuple[np.ndarray, float]:
+    """Centroid and compactness of a nonempty block of points.
+
+    The centroid is pts.sum(axis=0) / s, the bits of pts.mean(axis=0); the
+    sums are written as the add.reduce calls they make.
+    """
+    s = pts.shape[0]
+    centroid = np.add.reduce(pts, axis=0) / s
+    x = pts - centroid
+    x *= x
+    return centroid, float(np.add.reduce(np.sqrt(np.add.reduce(x, axis=1))) / s)
+
+
 def compactness_dm(cluster: np.ndarray, ds: Dataset) -> float:
     """Mean member distance to the cluster centroid."""
     pts = ds.points[np.asarray(cluster, dtype=np.int64)]
-    s = pts.shape[0]
-    if s == 0:
+    if pts.shape[0] == 0:
         raise ValueError("cluster is empty")
-    x = pts - pts.sum(axis=0) / s
-    return float(np.sqrt((x * x).sum(axis=1)).sum() / s)
+    return _centroid_dm(pts)[1]
+
+
+def _split_proposals(ids: np.ndarray, sizes: np.ndarray, ends: np.ndarray, ds: Dataset):
+    """Children of many clusters at their endpoints, with compactness and centroids.
+
+    ids concatenates the clusters (sizes[t] >= 2 members each) and ends[t]
+    is cluster t's endpoint pair (a, b).  One row-norm pass over all members
+    gives the distances to both endpoints (the bits of a per-cluster
+    np.linalg.norm(..., axis=1)); a member joins a's child when it is no
+    farther from a.  A stable sort by (cluster, side) lays the children out
+    contiguously in member order, and each child's centroid and compactness
+    come from its slice of that one gathered array, one reduction per child.
+    Returns per cluster (children, dms, centroids): a pair of id arrays, a
+    pair of floats and a (2, d) array.  A child is empty only when the
+    endpoints coincide; that cluster cannot split, and both its children
+    get nan compactness and centroids.
+    """
+    n_clusters = sizes.size
+    owner = np.repeat(np.arange(n_clusters), sizes)
+    pts = ds.points[ids]
+
+    def dist_to(end):
+        diff = pts - ds.points[end[owner]]
+        return np.sqrt(np.add.reduce(diff * diff, axis=1))
+
+    child = 2 * owner + (dist_to(ends[:, 0]) > dist_to(ends[:, 1]))
+    order = np.argsort(child, kind="stable")
+    ids, pts = ids[order], pts[order]
+    bounds = np.zeros(2 * n_clusters + 1, dtype=np.int64)
+    np.cumsum(np.bincount(child, minlength=2 * n_clusters), out=bounds[1:])
+    bounds = bounds.tolist()
+    centroids = np.full((2 * n_clusters, ds.d), np.nan)
+    dms = [math.nan] * (2 * n_clusters)
+    for t, (lo, mid, hi) in enumerate(zip(bounds[:-1:2], bounds[1::2], bounds[2::2])):
+        if lo < mid < hi:  # an empty child leaves the other one equal to the parent
+            centroids[2 * t], dms[2 * t] = _centroid_dm(pts[lo:mid])
+            centroids[2 * t + 1], dms[2 * t + 1] = _centroid_dm(pts[mid:hi])
+    return [
+        ((ids[lo:mid], ids[mid:hi]), (dms[2 * t], dms[2 * t + 1]), centroids[2 * t : 2 * t + 2])
+        for t, (lo, mid, hi) in enumerate(zip(bounds[:-1:2], bounds[1::2], bounds[2::2]))
+    ]
 
 
 def _weighted(m1: int, dm1: float, m2: int, dm2: float) -> float:
@@ -206,12 +273,13 @@ def _weighted(m1: int, dm1: float, m2: int, dm2: float) -> float:
 
 
 def round_geometry(clusters, ds: Dataset, dms=None) -> list[ClusterGeometry]:
-    """Geometry of many clusters from one batched MST and one diameter sweep.
+    """Geometry and split proposals of many clusters, computed as one batch.
 
-    Equal, field for field, to computing each cluster on its own.  dms, when
-    given, holds the clusters' compactness values (already known to the
-    caller); otherwise they are computed.  Singletons get mc=1 and no
-    endpoints.
+    One batched MST, one diameter sweep and one endpoint partition
+    (_split_proposals) cover every cluster.  Equal, field for field, to
+    computing each cluster on its own.  dms, when given, holds the
+    clusters' compactness values (already known to the caller); otherwise
+    they are computed.  Singletons get mc=1, no endpoints and no proposal.
     """
     clusters = [np.asarray(c, dtype=np.int64) for c in clusters]
     if not clusters:
@@ -222,6 +290,9 @@ def round_geometry(clusters, ds: Dataset, dms=None) -> list[ClusterGeometry]:
     local, weights, offsets = _prim_forest(clusters, ds)
     ends, paths = _tree_diameters(local, weights, ids, offsets + np.arange(offsets.size))
     edges = ids[local]
+    sizes = np.diff(offsets) + 1
+    split = sizes >= 2
+    proposals = iter(_split_proposals(ids[np.repeat(split, sizes)], sizes[split], ends[split], ds))
     out = []
     for t, members in enumerate(clusters):
         e, w = edges[offsets[t]:offsets[t + 1]], weights[offsets[t]:offsets[t + 1]]
@@ -232,7 +303,7 @@ def round_geometry(clusters, ds: Dataset, dms=None) -> list[ClusterGeometry]:
         path_dist = float(paths[t])
         euclid = float(np.linalg.norm(ds.points[a] - ds.points[b]))
         mc = math.inf if euclid == 0.0 else path_dist / euclid
-        out.append(ClusterGeometry(e, w, (a, b), path_dist, euclid, mc, dms[t]))
+        out.append(ClusterGeometry(e, w, (a, b), path_dist, euclid, mc, dms[t], *next(proposals)))
     return out
 
 
@@ -241,33 +312,15 @@ def cluster_geometry(cluster: np.ndarray, ds: Dataset) -> ClusterGeometry:
     return round_geometry([cluster], ds)[0]
 
 
-def _partition_by_endpoints(members: np.ndarray, endpoints: tuple[int, int], ds: Dataset):
-    """Assign members to the nearer endpoint; ties go to the smaller index."""
-    a, b = endpoints
-    da = np.linalg.norm(ds.points[members] - ds.points[a], axis=1)
-    db = np.linalg.norm(ds.points[members] - ds.points[b], axis=1)
-    to_a = da <= db  # a < b, so equidistant members go to a
-    return members[to_a], members[~to_a]
-
-
-class _Children(tuple):
-    """split_once's (child1, child2), carrying the children's compactness as dms."""
-
-    def __new__(cls, child1: np.ndarray, child2: np.ndarray, dms: tuple[float, float]):
-        pair = super().__new__(cls, (child1, child2))
-        pair.dms = dms
-        return pair
-
-
 def split_once(cluster: np.ndarray, ds: Dataset, cfg: SplitConfig, geom: ClusterGeometry | None = None):
-    """One split attempt; returns (child1, child2) or None.
+    """One split decision; returns (child1, child2) or None.
 
-    A cluster splits only when it is larger than beta, its curvature is
-    strictly greater than lam (skipped in compactness-only mode), both
-    candidate children are nonempty, and the weighted child compactness
-    strictly improves on the parent's.  Mode no-split always declines.  The
-    returned pair also carries the children's compactness values as its
-    ``dms`` attribute.
+    The candidate children and their compactness are geom's split proposal
+    (from cluster_geometry when geom is not given).  A cluster splits only
+    when it is larger than beta, its curvature is strictly greater than lam
+    (skipped in compactness-only mode), both children are nonempty, and the
+    weighted child compactness strictly improves on the parent's.  Mode
+    no-split always declines.
     """
     members = np.asarray(cluster, dtype=np.int64)
     if cfg.mode == "no-split" or members.size <= cfg.beta or members.size < 2:
@@ -276,14 +329,12 @@ def split_once(cluster: np.ndarray, ds: Dataset, cfg: SplitConfig, geom: Cluster
         geom = cluster_geometry(members, ds)
     if cfg.mode != "compactness-only" and not geom.mc > cfg.lam:
         return None
-    assert geom.endpoints is not None
-    child1, child2 = _partition_by_endpoints(members, geom.endpoints, ds)
+    child1, child2 = geom.children
     if child1.size == 0 or child2.size == 0:
         return None
-    dms = compactness_dm(child1, ds), compactness_dm(child2, ds)
-    if _weighted(child1.size, dms[0], child2.size, dms[1]) >= geom.dm:
+    if _weighted(child1.size, geom.child_dms[0], child2.size, geom.child_dms[1]) >= geom.dm:
         return None
-    return _Children(child1, child2, dms)
+    return child1, child2
 
 
 def default_max_rounds(n: int) -> int:
@@ -292,7 +343,7 @@ def default_max_rounds(n: int) -> int:
 
 
 def _candidate_geometry(candidates, ds: Dataset, memo: dict | None) -> list[ClusterGeometry]:
-    """Geometry of (members, core, compactness or None) candidates, in one round_geometry call.
+    """Geometry of split_all's pending candidates, in one round_geometry call.
 
     With a memo (member bytes -> geometry), only the candidates it lacks are
     computed, and they are stored in it.
@@ -301,12 +352,12 @@ def _candidate_geometry(candidates, ds: Dataset, memo: dict | None) -> list[Clus
     def compute(todo):
         if not todo:
             return []
-        dms = [compactness_dm(members, ds) if dm is None else dm for members, _, dm in todo]
-        return round_geometry([members for members, _, _ in todo], ds, dms)
+        dms = [compactness_dm(members, ds) if dm is None else dm for members, _, dm, _ in todo]
+        return round_geometry([members for members, *_ in todo], ds, dms)
 
     if memo is None:
         return compute(candidates)
-    keys = [members.tobytes() for members, _, _ in candidates]
+    keys = [members.tobytes() for members, *_ in candidates]
     missing = [j for j, key in enumerate(keys) if key not in memo]
     for j, geom in zip(missing, compute([candidates[j] for j in missing])):
         memo[keys[j]] = geom
@@ -316,12 +367,13 @@ def _candidate_geometry(candidates, ds: Dataset, memo: dict | None) -> list[Clus
 def split_all(pcs: PseudoClusterSet, ds: Dataset, cfg: SplitConfig, geometry: dict | None = None):
     """Split every splittable cluster to exhaustion (or the round cap).
 
-    Each round computes the geometry of all its candidates (clusters larger
-    than beta) in one round_geometry call, then tries them in ascending id
-    order with split_once; children join the next round's queue.  Children
-    adopt their endpoint seed as core.  Each child's compactness is computed
-    once, by split_once for its decision, and serves the split record and
-    the child's dm in the next round.
+    Each round computes the geometry and split proposals of all its
+    candidates (clusters larger than beta) in one round_geometry call, then
+    decides them in ascending id order with split_once; children join the
+    next round's queue.  Children adopt their endpoint seed as core.  A
+    child's compactness and centroid come with its proposal: the
+    compactness serves the split record and the child's dm in the next
+    round, the centroid the output when the child splits no further.
 
     geometry, when given, memoizes candidate geometry by member array (the
     bytes of its int64 values, in order): a round computes only the
@@ -332,10 +384,11 @@ def split_all(pcs: PseudoClusterSet, ds: Dataset, cfg: SplitConfig, geometry: di
     split).
     """
     report = SplitReport()
-    final: list[tuple[np.ndarray, int]] = []
-    # (members, core, compactness or None when not yet computed)
+    final: list[tuple[np.ndarray, int, np.ndarray | None]] = []
+    # (members, core, compactness, centroid); the last two are None until known
     pending = [
-        (np.asarray(c, dtype=np.int64), int(pcs.cores[t]), None) for t, c in enumerate(pcs.clusters)
+        (np.asarray(c, dtype=np.int64), int(pcs.cores[t]), None, None)
+        for t, c in enumerate(pcs.clusters)
     ]
     max_rounds = default_max_rounds(ds.n)
     next_id = pcs.m
@@ -345,25 +398,24 @@ def split_all(pcs: PseudoClusterSet, ds: Dataset, cfg: SplitConfig, geometry: di
             report.warnings.append(
                 f"max_rounds={max_rounds} reached with {len(pending)} clusters still pending"
             )
-            final.extend((members, core) for members, core, _ in pending)
+            final.extend((members, core, centroid) for members, core, _, centroid in pending)
             break
         report.rounds += 1
         todo = [
-            i for i, (members, _, _) in enumerate(pending)
+            i for i, (members, *_) in enumerate(pending)
             if cfg.mode != "no-split" and members.size > cfg.beta and members.size >= 2
         ]
         geoms = dict(zip(todo, _candidate_geometry([pending[i] for i in todo], ds, geometry)))
         next_pending = []
-        for i, (members, core, _) in enumerate(pending):
+        for i, (members, core, _, centroid) in enumerate(pending):
             geom = geoms.get(i)
             result = split_once(members, ds, cfg, geom) if geom is not None else None
             if result is None:
-                final.append((members, core))
+                final.append((members, core, centroid))
                 continue
             child1, child2 = result
-            assert geom.endpoints is not None
             e1, e2 = geom.endpoints
-            dm1, dm2 = result.dms
+            dm1, dm2 = geom.child_dms
             report.records.append(
                 {
                     "parent_size": int(members.size),
@@ -377,17 +429,19 @@ def split_all(pcs: PseudoClusterSet, ds: Dataset, cfg: SplitConfig, geometry: di
             next_id += 2
             # Each endpoint lands in its own child (distance 0 wins), so the
             # children adopt the endpoint seeds as cores.
-            next_pending.append((child1, e1, dm1))
-            next_pending.append((child2, e2, dm2))
+            next_pending.append((child1, e1, dm1, geom.child_centroids[0]))
+            next_pending.append((child2, e2, dm2, geom.child_centroids[1]))
         pending = next_pending
 
-    clusters = [members for members, _ in final]
-    cores = np.array([core for _, core in final], dtype=np.int64)
+    clusters = [members for members, _, _ in final]
+    cores = np.array([core for _, core, _ in final], dtype=np.int64)
+    centroids = np.array(
+        [ds.points[members].mean(axis=0) if c is None else c for members, _, c in final]
+    ).reshape(len(final), ds.d)
     assignment = np.empty(ds.n, dtype=np.int64)
-    centroids = np.empty((len(clusters), ds.d))
-    for t, members in enumerate(clusters):
-        assignment[members] = t
-        centroids[t] = ds.points[members].mean(axis=0)
+    assignment[np.concatenate(clusters)] = np.repeat(
+        np.arange(len(clusters)), [members.size for members in clusters]
+    )
     out = PseudoClusterSet(clusters, assignment, cores, centroids)
     out.validate()
     return out, report

@@ -146,6 +146,31 @@ def reference_endpoints(edges: np.ndarray, weights: np.ndarray):
     return (a, b), float(dist[v])
 
 
+def reference_split_proposal(points: np.ndarray, members: np.ndarray, endpoints):
+    """One cluster's split proposal, one cluster at a time: the splitting rule's reference.
+
+    Members go to the nearer endpoint by a per-cluster np.linalg.norm,
+    equidistant ones to a; each child's compactness is the mean distance to
+    its centroid (sum(axis=0) / s, then the norm sum) and its centroid
+    mean(axis=0), both nan when a child is empty.  Returns (children, dms,
+    centroids, ties): ties counts the equidistant members.
+    """
+    members = np.asarray(members, dtype=np.int64)
+    a, b = endpoints
+    da = np.linalg.norm(points[members] - points[a], axis=1)
+    db = np.linalg.norm(points[members] - points[b], axis=1)
+    to_a = da <= db
+    children = members[to_a], members[~to_a]
+    dms, centroids = [np.nan, np.nan], np.full((2, points.shape[1]), np.nan)
+    if all(c.size for c in children):
+        for j, child in enumerate(children):
+            pts = points[child]
+            x = pts - pts.sum(axis=0) / child.size
+            dms[j] = float(np.sqrt((x * x).sum(axis=1)).sum() / child.size)
+            centroids[j] = pts.mean(axis=0)
+    return children, tuple(dms), centroids, int((da == db).sum())
+
+
 def brute_force_acc(pred, truth) -> float:
     """Best injective label matching by full permutation enumeration."""
     pred = np.asarray(pred)

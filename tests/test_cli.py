@@ -104,6 +104,17 @@ def test_bad_numbers_are_config_errors(command, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_bad_normalization_in_config_file_is_config_error(tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[run]\nnormalization = bogus\n")
+    out = tmp_path / "o"
+    code = main(["cluster", "--input", "synth:blobs:60", "--config", str(ini), "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "bogus" in err
+    assert not out.exists()
+
+
 def test_cluster_numerical_error_exit_code(tmp_path, capsys):
     # k so large the leader graph collapses to fewer micro-clusters than C
     code = main(

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import reference_kmeans
+from conftest import _reference_kmeans_pp_init, reference_kmeans
 from scipy.linalg import eigh as oracle_eigh
 from scipy.linalg import subspace_angles
 from scipy.sparse import csr_matrix
@@ -249,6 +249,22 @@ def test_kmeans_matches_reference_at_c_equals_n_and_small_iteration_caps():
         x = np.round(rng.standard_normal((50, 3)), 1)
         for max_iter in (1, 2, 3):
             _assert_same_kmeans(x, 6, seed, max_iter=max_iter)
+
+
+def test_kmeans_pp_draw_matches_generator_choice():
+    # The inverse-CDF draw picks what rng.choice(n, p=...) picks and consumes
+    # the same doubles, including rows at distance 0 (zero probability).
+    rng = np.random.default_rng(35)
+    for seed in range(300):
+        n = int(rng.integers(2, 40))
+        x = np.round(rng.standard_normal((n, 2)), 1)
+        x = x[rng.integers(0, max(2, n // int(rng.integers(1, 4))), n)]  # duplicates
+        k = int(rng.integers(2, n + 1))
+        mine, ref = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        got = linalg._kmeans_pp_init(x, k, mine)
+        want = _reference_kmeans_pp_init(x, k, ref)
+        assert np.array_equal(got, want)
+        assert mine.random() == ref.random()
 
 
 def test_kmeans_distance_chunks_change_no_bit(monkeypatch):

@@ -22,6 +22,7 @@ from microclust import (
     spectral_cluster,
 )
 from microclust.neighbors import PseudoClusterSet
+from microclust.spectral import count_graph_components
 
 
 def _manual_clusters(ds, groups):
@@ -189,6 +190,52 @@ def test_spectral_block_diagonal_recovers_blocks():
     n_comp, comp = connected_components(csr_matrix(s != 0), directed=False)
     assert n_comp == 2
     assert ari(labels, comp) == 1.0
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 5])
+def test_handed_components_change_no_label(blocks):
+    # The similarity's component labelling, handed to the eigensolver, gives
+    # the bits of the solver's own labelling of the Laplacian, also with more
+    # components than clusters.
+    rng = np.random.default_rng(40 + blocks)
+    for trial in range(10):
+        sizes = rng.integers(1, 9, size=blocks)
+        m = int(sizes.sum())
+        s = np.zeros((m, m))
+        start = 0
+        for size in sizes:
+            block = rng.random((size, size)) * (rng.random((size, size)) < 0.7)
+            s[start : start + size, start : start + size] = block + block.T
+            start += size
+        np.fill_diagonal(s, 0.0)
+        perm = rng.permutation(m)
+        s = s[np.ix_(perm, perm)]
+        components = count_graph_components(s)
+        lap = normalized_laplacian(s)
+        for got, want in zip(jacobi_eigh(lap, components), jacobi_eigh(lap), strict=True):
+            assert np.array_equal(got, want)
+        c = min(m, 2 + trial % 3) if m >= 2 else None
+        if c is not None:
+            assert np.array_equal(
+                spectral_cluster(s, c, seed=trial, components=components),
+                spectral_cluster(s, c, seed=trial),
+            )
+
+
+def test_pipeline_labels_the_similarity_components_once(monkeypatch):
+    import microclust.linalg as linalg
+    import microclust.spectral as spectral
+
+    calls = []
+    real = linalg._pattern_components
+    for module in (linalg, spectral):
+        monkeypatch.setattr(
+            module, "_pattern_components", lambda a: calls.append(a.shape) or real(a)
+        )
+    ds = generate_synthetic("blobs", 400, 0.25, 1, components=6)
+    res = run_pipeline(ds, RunConfig(k=10, n_clusters=2, seed=0, runs=1))
+    assert res.meta["similarity_components"] > 2  # more components than clusters
+    assert calls == [(res.meta["m"], res.meta["m"])]
 
 
 def test_spectral_all_equal_similarity():

@@ -20,6 +20,7 @@ from conftest import (
     brute_force_tree_diameter,
     reference_endpoints,
     reference_prim,
+    reference_split_proposal,
 )
 
 
@@ -344,18 +345,77 @@ def test_split_all_calls_split_once_once_per_candidate(monkeypatch):
 
 
 def test_split_all_computes_each_compactness_once(monkeypatch):
-    # a child's compactness decides its split and serves as its dm in the
-    # next round; no member set is measured twice
+    # Every compactness value is computed once: the first round's clusters
+    # through compactness_dm, every candidate's children with its split
+    # proposal, and a child's value then decides its split and serves as its
+    # dm in the next round.  Each _centroid_dm call is accounted for.
     rng = np.random.default_rng(9)
     ds = Dataset(np.round(rng.standard_normal((300, 2)) * 8) / 8)
-    seen = []
-    real = splitting.compactness_dm
+    measured = []
+    blocks = []
+    real_dm, real_proposals, real_block = (
+        splitting.compactness_dm, splitting._split_proposals, splitting._centroid_dm
+    )
 
-    def spy(cluster, ds_):
-        seen.append(tuple(np.sort(np.asarray(cluster)).tolist()))
-        return real(cluster, ds_)
+    def dm_spy(cluster, ds_):
+        measured.append(tuple(np.sort(np.asarray(cluster)).tolist()))
+        return real_dm(cluster, ds_)
 
-    monkeypatch.setattr(splitting, "compactness_dm", spy)
+    def proposals_spy(*args):
+        out = real_proposals(*args)
+        for children, dms, _ in out:
+            assert all(c.size for c in children) == (not math.isnan(dms[0]))
+            if not math.isnan(dms[0]):
+                measured.extend(tuple(np.sort(c).tolist()) for c in children)
+        return out
+
+    def block_spy(pts):
+        blocks.append(pts.shape[0])
+        return real_block(pts)
+
+    monkeypatch.setattr(splitting, "compactness_dm", dm_spy)
+    monkeypatch.setattr(splitting, "_split_proposals", proposals_spy)
+    monkeypatch.setattr(splitting, "_centroid_dm", block_spy)
     _, report = split_all(build_pseudo_clusters(ds, 6), ds, SplitConfig(beta=6))
     assert len(report.records) > 0
-    assert len(seen) == len(set(seen))
+    assert len(blocks) == len(measured) > 2 * len(report.records)
+    assert len(measured) == len(set(measured))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 13, 40])
+def test_split_proposals_match_per_cluster_reference_exactly(d):
+    """round_geometry's batched proposals carry the per-cluster rule's bits."""
+    rng = np.random.default_rng(200 + d)
+    ties = 0
+    for rep in range(13):
+        if rep < 12:
+            ds, clusters = _tie_heavy_round(rng, d)
+        else:
+            # collinear members with one midpoint and its copy equidistant from
+            # both ends, and a cluster of one point repeated (coinciding ends)
+            pts = np.zeros((8, d))
+            pts[:5, 0] = [0.0, 2.0, 1.0, 1.0, 0.5]
+            ds, clusters = Dataset(pts), [np.arange(5), np.arange(5, 8)]
+        for members, geom in zip(clusters, round_geometry(clusters, ds), strict=True):
+            if members.size == 1:
+                assert geom.children is None and geom.child_dms is None
+                assert geom.child_centroids is None
+                continue
+            children, dms, centroids, n_ties = reference_split_proposal(
+                ds.points, members, geom.endpoints
+            )
+            ties += n_ties
+            assert all(np.array_equal(g, r) for g, r in zip(geom.children, children, strict=True))
+            assert np.array_equal(geom.child_dms, dms, equal_nan=True)
+            assert np.array_equal(geom.child_centroids, centroids, equal_nan=True)
+            one = cluster_geometry(members, ds)
+            assert all(np.array_equal(g, r) for g, r in zip(one.children, children, strict=True))
+            assert np.array_equal(one.child_dms, dms, equal_nan=True)
+            assert np.array_equal(one.child_centroids, centroids, equal_nan=True)
+            if np.isfinite(dms[0]):
+                assert dms == (compactness_dm(children[0], ds), compactness_dm(children[1], ds))
+        if rep == 12:
+            geoms = round_geometry(clusters, ds)
+            assert [c.tolist() for c in geoms[0].children] == [[0, 2, 3, 4], [1]]
+            assert geoms[1].mc == math.inf and geoms[1].children[1].size == 0
+    assert ties > 0

@@ -294,6 +294,31 @@ def test_larger_beta_after_smaller_makes_no_geometry_call(moons, monkeypatch):
     assert calls == []
 
 
+def test_larger_beta_after_smaller_computes_no_proposal(moons, monkeypatch):
+    # Split proposals come with the shared geometry, read-only: the beta = 16
+    # cell measures no child, and its children are the beta = 8 cell's arrays.
+    proposals = []
+    original = splitting._split_proposals
+    monkeypatch.setattr(
+        splitting, "_split_proposals", lambda *a: proposals.append(a[1].size) or original(*a)
+    )
+    cfg = RunConfig(n_clusters=2, runs=1, k=30)
+    with pipeline.shared_stages(moons):
+        run_pipeline(moons, replace(cfg, beta=8))
+        assert sum(proposals) > 0
+        proposals.clear()
+        res = run_pipeline(moons, replace(cfg, beta=16))
+        shared = pipeline._MEMO.get().per_k[("geometry", cfg.normalization)]
+    assert res.meta["split_records"]
+    assert proposals == []
+    assert shared
+    for geom in shared.values():
+        arrays = [*geom.children, geom.child_centroids]
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            geom.children[0][0] = -1
+
+
 def test_sweep_searches_each_ball_once_across_beta(moons, monkeypatch):
     seen = _count_split_work(monkeypatch, granular, "farthest_pair", lambda args: [args[0]])
     cfg = RunConfig(algorithm="gbsc", n_clusters=2, runs=1)
